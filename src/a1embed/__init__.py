@@ -12,6 +12,7 @@ from .params import (
     DegenerateParamsError,
     DomainError,
     DomainPoint,
+    InvariantError,
     NodePointError,
     Params,
     in_omega,

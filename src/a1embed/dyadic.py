@@ -8,8 +8,17 @@ are computed with the leaf type, so rational trees give exact answers.
 
 Trees are plain immutable structures: a weight node is either a number or
 a tuple of N nodes, a set node is either a bool (True = full) or a tuple.
-Subtrees may be shared; every walk below memoizes on node identity, so
-deeply shared constructions (see extremize) stay linear-time.
+Subtrees may be shared, so every bottom-up quantity comes from one
+post-order fold memoized on node identity (`_fold`), which keeps deeply
+shared constructions (see extremize) linear-time.
+
+The weight statistics all come from one per-node summary
+(average, minimum, characteristic).  The dyadic A1 characteristic is the
+largest ratio average/minimum over the cubes of the tree, so a node's
+characteristic is the larger of its own ratio and its children's.  This
+equals the largest ratio (maximal function)/(weight) over the leaves, bit
+for bit in floating point too, because division is monotone in each
+argument.
 
 All quantities are normalized to the root cube having measure 1.
 """
@@ -21,10 +30,15 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Union
 
+from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX
+
 WeightNode = Union[float, Fraction, tuple]
 SetNode = Union[bool, tuple]
 
-DEFAULT_MAX_DEPTH = 32
+# The deepest tree a construction builds: DIGITS_MAX outer digits, then
+# CONCAT_DIGITS_MAX inner digits, then a corner pair of depth CORNER_K_MAX + 1,
+# plus one level to spare.
+DEFAULT_MAX_DEPTH = DIGITS_MAX + CONCAT_DIGITS_MAX + CORNER_K_MAX + 2
 
 FULL: SetNode = True
 EMPTY: SetNode = False
@@ -57,6 +71,26 @@ def _is_leaf(node) -> bool:
     return not isinstance(node, tuple)
 
 
+def _fold(root, leaf, inner, memo=None):
+    """Post-order fold: leaf(value) at leaves, inner(child results) above.
+
+    Results of internal nodes are memoized on node identity, in `memo` when
+    given, so a caller can share them between folds of the same tree.
+    """
+    if memo is None:
+        memo = {}
+
+    def walk(node):
+        if _is_leaf(node):
+            return leaf(node)
+        r = memo.get(id(node))
+        if r is None:
+            r = memo[id(node)] = inner([walk(c) for c in node])
+        return r
+
+    return walk(root)
+
+
 def make_set_node(children) -> SetNode:
     """Internal set node, collapsed when all children agree (canonical form)."""
     children = tuple(children)
@@ -67,167 +101,124 @@ def make_set_node(children) -> SetNode:
     return children
 
 
-def validate_weight(w: DyadicWeight, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
-    """Check fan-out, leaf positivity and the depth cap; raise ValueError."""
+def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
+              canonical: bool) -> None:
     seen: dict[int, int] = {}
 
     def walk(node, depth):
         if depth > max_depth:
-            raise ValueError(f"weight tree deeper than {max_depth}")
+            raise ValueError(f"{kind} tree deeper than {max_depth}")
         if _is_leaf(node):
-            if not node > 0:
-                raise ValueError(f"leaf value {node!r} is not positive")
+            check_leaf(node)
             return
         # shared nodes recur at several depths; the cap binds at the deepest
         prior = seen.get(id(node))
         if prior is not None and prior >= depth:
             return
         seen[id(node)] = depth
-        if len(node) != w.n:
-            raise ValueError(f"internal node has {len(node)} children, want {w.n}")
-        for c in node:
-            walk(c, depth + 1)
-
-    walk(w.tree, 0)
-
-
-def validate_set(E: DyadicSet, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
-    """Check fan-out, canonical form and the depth cap; raise ValueError."""
-    seen: dict[int, int] = {}
-
-    def walk(node, depth):
-        if depth > max_depth:
-            raise ValueError(f"set tree deeper than {max_depth}")
-        if _is_leaf(node):
-            if not isinstance(node, bool):
-                raise ValueError(f"set leaf {node!r} is not a bool")
-            return
-        prior = seen.get(id(node))
-        if prior is not None and prior >= depth:
-            return
-        seen[id(node)] = depth
-        if len(node) != E.n:
-            raise ValueError(f"internal node has {len(node)} children, want {E.n}")
-        if all(c is True for c in node) or all(c is False for c in node):
+        if len(node) != n:
+            raise ValueError(f"internal node has {len(node)} children, want {n}")
+        if canonical and isinstance(make_set_node(node), bool):
             raise ValueError("internal set node with uniform children (not canonical)")
         for c in node:
             walk(c, depth + 1)
 
-    walk(E.tree, 0)
+    walk(root, 0)
+
+
+def _check_weight_leaf(v) -> None:
+    if not v > 0:
+        raise ValueError(f"leaf value {v!r} is not positive")
+
+
+def _check_set_leaf(v) -> None:
+    if not isinstance(v, bool):
+        raise ValueError(f"set leaf {v!r} is not a bool")
+
+
+def validate_weight(w: DyadicWeight, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
+    """Check fan-out, leaf positivity and the depth cap; raise ValueError."""
+    _validate(w.tree, w.n, max_depth, "weight", _check_weight_leaf, False)
+
+
+def validate_set(E: DyadicSet, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
+    """Check fan-out, canonical form and the depth cap; raise ValueError."""
+    _validate(E.tree, E.n, max_depth, "set", _check_set_leaf, True)
 
 
 def tree_depth(w) -> int:
-    memo: dict[int, int] = {}
-
-    def walk(node) -> int:
-        if _is_leaf(node):
-            return 0
-        r = memo.get(id(node))
-        if r is None:
-            r = 1 + max(walk(c) for c in node)
-            memo[id(node)] = r
-        return r
-
-    return walk(w.tree)
+    return _fold(w.tree, lambda v: 0, lambda rs: 1 + max(rs))
 
 
 # ---------------------------------------------------------------------------
 # statistics
 
+def _summary(node, n: int, memo=None):
+    """(average, minimum, characteristic) of the cube at `node`, in one fold."""
+
+    def inner(rs):
+        avgs, mins, chars = zip(*rs)
+        avg = sum(avgs) / n
+        mn = min(mins)
+        return avg, mn, max(avg / mn, *chars)
+
+    # a leaf's ratio v/v is 1 in the leaf's own type; it keeps a float
+    # characteristic >= 1 where a rounded average falls below the minimum
+    try:
+        return _fold(node, lambda v: (v, v, v / v), inner, memo)
+    except ZeroDivisionError:
+        raise ValueError("weight has a zero leaf") from None
+
+
 def average(w: DyadicWeight):
     """Mean of the weight over the root cube."""
-    memo: dict[int, Any] = {}
-
-    def walk(node):
-        if _is_leaf(node):
-            return node
-        r = memo.get(id(node))
-        if r is None:
-            r = sum(walk(c) for c in node) / w.n
-            memo[id(node)] = r
-        return r
-
-    return walk(w.tree)
+    return _summary(w.tree, w.n)[0]
 
 
 def ess_inf(w: DyadicWeight):
-    memo: dict[int, Any] = {}
+    return _summary(w.tree, w.n)[1]
 
-    def walk(node):
-        if _is_leaf(node):
-            return node
-        r = memo.get(id(node))
-        if r is None:
-            r = min(walk(c) for c in node)
-            memo[id(node)] = r
-        return r
 
-    return walk(w.tree)
+def a1_characteristic(w: DyadicWeight):
+    """Largest ratio average/minimum over the cubes of the tree."""
+    return _summary(w.tree, w.n)[2]
+
+
+def _measure(node, n: int, memo=None) -> Fraction:
+    return _fold(node, lambda v: Fraction(1 if v else 0),
+                 lambda rs: sum(rs) / n, memo)
 
 
 def measure(E: DyadicSet) -> Fraction:
     """Measure of the set, exact (always a dyadic rational)."""
-    memo: dict[int, Fraction] = {}
-
-    def walk(node) -> Fraction:
-        if node is True:
-            return Fraction(1)
-        if node is False:
-            return Fraction(0)
-        r = memo.get(id(node))
-        if r is None:
-            r = sum(walk(c) for c in node) / E.n
-            memo[id(node)] = r
-        return r
-
-    return walk(E.tree)
+    return _measure(E.tree, E.n)
 
 
-def weight_on_set(w: DyadicWeight, E: DyadicSet):
-    """Integral of the weight over the set (root cube normalized to mass 1)."""
+def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict):
     if w.n != E.n:
         raise ValueError("weight and set have different fan-out")
     memo: dict[tuple[int, int], Any] = {}
+    measure_memo: dict[int, Fraction] = {}
 
     def walk(wn, en):
         if en is False:
             return 0
         if en is True:
-            return _avg(wn)
+            return _summary(wn, w.n, summary_memo)[0]
         if _is_leaf(wn):
-            return wn * _measure(en)
+            return wn * _measure(en, E.n, measure_memo)
         key = (id(wn), id(en))
         r = memo.get(key)
         if r is None:
-            r = sum(walk(wc, ec) for wc, ec in zip(wn, en)) / w.n
-            memo[key] = r
-        return r
-
-    avg_memo: dict[int, Any] = {}
-
-    def _avg(node):
-        if _is_leaf(node):
-            return node
-        r = avg_memo.get(id(node))
-        if r is None:
-            r = sum(_avg(c) for c in node) / w.n
-            avg_memo[id(node)] = r
-        return r
-
-    meas_memo: dict[int, Fraction] = {}
-
-    def _measure(node):
-        if node is True:
-            return Fraction(1)
-        if node is False:
-            return Fraction(0)
-        r = meas_memo.get(id(node))
-        if r is None:
-            r = sum(_measure(c) for c in node) / E.n
-            meas_memo[id(node)] = r
+            r = memo[key] = sum(walk(wc, ec) for wc, ec in zip(wn, en)) / w.n
         return r
 
     return walk(w.tree, E.tree)
+
+
+def weight_on_set(w: DyadicWeight, E: DyadicSet):
+    """Integral of the weight over the set (root cube normalized to mass 1)."""
+    return _weight_on_set(w, E, {})
 
 
 def maximal_function(w: DyadicWeight) -> DyadicWeight:
@@ -238,17 +229,7 @@ def maximal_function(w: DyadicWeight) -> DyadicWeight:
     One top-down pass; output nodes are shared wherever the running
     maximum agrees, so the result is no larger than the input.
     """
-    avg_memo: dict[int, Any] = {}
-
-    def avg(node):
-        if _is_leaf(node):
-            return node
-        r = avg_memo.get(id(node))
-        if r is None:
-            r = sum(avg(c) for c in node) / w.n
-            avg_memo[id(node)] = r
-        return r
-
+    summary_memo: dict[int, tuple] = {}
     out_memo: dict[tuple[int, Any], Any] = {}
 
     def walk(node, running):
@@ -257,104 +238,50 @@ def maximal_function(w: DyadicWeight) -> DyadicWeight:
         key = (id(node), running)
         r = out_memo.get(key)
         if r is None:
-            r = tuple(walk(c, max(running, avg(c))) for c in node)
-            out_memo[key] = r
+            r = out_memo[key] = tuple(
+                walk(c, max(running, _summary(c, w.n, summary_memo)[0]))
+                for c in node)
         return r
 
-    return DyadicWeight(w.n, walk(w.tree, avg(w.tree)))
-
-
-def a1_characteristic(w: DyadicWeight):
-    """Largest ratio (maximal function) / (weight) over the leaves."""
-    avg_memo: dict[int, Any] = {}
-
-    def avg(node):
-        if _is_leaf(node):
-            return node
-        r = avg_memo.get(id(node))
-        if r is None:
-            r = sum(avg(c) for c in node) / w.n
-            avg_memo[id(node)] = r
-        return r
-
-    memo: dict[tuple[int, Any], Any] = {}
-
-    def walk(node, running):
-        if _is_leaf(node):
-            return max(running, node) / node
-        key = (id(node), running)
-        r = memo.get(key)
-        if r is None:
-            r = max(walk(c, max(running, avg(c))) for c in node)
-            memo[key] = r
-        return r
-
-    return walk(w.tree, avg(w.tree))
+    return DyadicWeight(w.n, walk(w.tree, _summary(w.tree, w.n, summary_memo)[0]))
 
 
 def value_distribution(w: DyadicWeight) -> dict:
     """Map leaf value -> total measure carried by leaves of that value."""
-    memo: dict[int, dict] = {}
 
-    def walk(node) -> dict:
-        if _is_leaf(node):
-            return {node: Fraction(1)}
-        r = memo.get(id(node))
-        if r is None:
-            r = {}
-            for c in node:
-                for v, mu in walk(c).items():
-                    r[v] = r.get(v, Fraction(0)) + mu / w.n
-            memo[id(node)] = r
+    def inner(rs):
+        r: dict = {}
+        for dist in rs:
+            for v, mu in dist.items():
+                r[v] = r.get(v, Fraction(0)) + mu / w.n
         return r
 
-    return walk(w.tree)
+    return _fold(w.tree, lambda v: {v: Fraction(1)}, inner)
 
 
 def stats(w: DyadicWeight, E: DyadicSet) -> WeightStats:
     """Statistics bundle of a weight/set pair."""
-    return WeightStats(
-        x=measure(E),
-        y=average(w),
-        m=ess_inf(w),
-        char=a1_characteristic(w),
-        value=weight_on_set(w, E),
-    )
+    memo: dict[int, tuple] = {}
+    y, m, char = _summary(w.tree, w.n, memo)
+    return WeightStats(x=measure(E), y=y, m=m, char=char,
+                       value=_weight_on_set(w, E, memo))
 
 
 def complement(E: DyadicSet) -> DyadicSet:
-    memo: dict[int, SetNode] = {}
-
-    def walk(node):
-        if node is True:
-            return False
-        if node is False:
-            return True
-        r = memo.get(id(node))
-        if r is None:
-            r = tuple(walk(c) for c in node)
-            memo[id(node)] = r
-        return r
-
-    return DyadicSet(E.n, walk(E.tree))
+    return DyadicSet(E.n, _fold(E.tree, lambda v: not v, tuple))
 
 
 def scale_weight(w: DyadicWeight, c) -> DyadicWeight:
     """Multiply every leaf by c > 0."""
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c!r}")
-    memo: dict[int, WeightNode] = {}
+    return DyadicWeight(w.n, _fold(w.tree, lambda v: v * c, tuple))
 
-    def walk(node):
-        if _is_leaf(node):
-            return node * c
-        r = memo.get(id(node))
-        if r is None:
-            r = tuple(walk(ch) for ch in node)
-            memo[id(node)] = r
-        return r
 
-    return DyadicWeight(w.n, walk(w.tree))
+def as_fraction_weight(w: DyadicWeight) -> DyadicWeight:
+    """Convert every leaf to an exact Fraction (floats convert exactly)."""
+    return DyadicWeight(w.n, _fold(
+        w.tree, lambda v: v if isinstance(v, Rational) else Fraction(v), tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -365,100 +292,68 @@ def scale_weight(w: DyadicWeight, c) -> DyadicWeight:
 # {"ref": id}; expanding such trees naively is exponential in the number of
 # stages.  Trees without sharing emit the plain nested format with no tags.
 
-def _refcounts(root) -> dict:
-    counts: dict = {}
+def _tree_to_json(root, leaf_doc):
+    parents: dict[int, int] = {}
     stack = [root]
     while stack:
         node = stack.pop()
-        if not isinstance(node, tuple):
+        if _is_leaf(node):
             continue
-        k = id(node)
-        counts[k] = counts.get(k, 0) + 1
-        if counts[k] == 1:
+        parents[id(node)] = parents.get(id(node), 0) + 1
+        if parents[id(node)] == 1:
             stack.extend(node)
-    return counts
+    ids: dict[int, int] = {}
+
+    def walk(node):
+        if _is_leaf(node):
+            return leaf_doc(node)
+        ref = ids.get(id(node))
+        if ref is not None:
+            return {"ref": ref}
+        doc = {}
+        if parents[id(node)] > 1:
+            doc["id"] = ids[id(node)] = len(ids)
+        doc["children"] = [walk(c) for c in node]
+        return doc
+
+    return walk(root)
 
 
-def _weight_node_to_json(node, _counts=None, _ids=None):
-    if _counts is None:
-        _counts = _refcounts(node)
-        _ids = {}
-    if _is_leaf(node):
-        return {"leaf": node if isinstance(node, float) else float(node)}
-    ref = _ids.get(id(node))
-    if ref is not None:
-        return {"ref": ref}
-    doc = {}
-    if _counts[id(node)] > 1:
-        doc["id"] = _ids[id(node)] = len(_ids)
-    doc["children"] = [_weight_node_to_json(c, _counts, _ids) for c in node]
-    return doc
+def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node):
+    defs: dict = {}
 
-
-def _weight_node_from_json(doc, n: int, _defs=None):
-    if _defs is None:
-        _defs = {}
-    if "leaf" in doc:
-        return float(doc["leaf"])
-    if "ref" in doc:
-        node = _defs.get(doc["ref"])
-        if node is None:
-            raise ValueError(f"ref {doc['ref']} precedes its definition")
+    def walk(doc):
+        if leaf_key in doc:
+            return leaf(doc[leaf_key])
+        if "ref" in doc:
+            node = defs.get(doc["ref"])
+            if node is None:
+                raise ValueError(f"ref {doc['ref']} precedes its definition")
+            return node
+        children = doc["children"]
+        if len(children) != n:
+            raise ValueError(f"{kind} node has {len(children)} children, want {n}")
+        node = make_node(walk(c) for c in children)
+        if "id" in doc:
+            defs[doc["id"]] = node
         return node
-    children = doc["children"]
-    if len(children) != n:
-        raise ValueError(f"weight node has {len(children)} children, want {n}")
-    node = tuple(_weight_node_from_json(c, n, _defs) for c in children)
-    if "id" in doc:
-        _defs[doc["id"]] = node
-    return node
+
+    return walk(doc)
 
 
-def _set_node_to_json(node, _counts=None, _ids=None):
-    if _counts is None:
-        _counts = _refcounts(node)
-        _ids = {}
-    if node is True:
-        return {"set": "full"}
-    if node is False:
-        return {"set": "empty"}
-    ref = _ids.get(id(node))
-    if ref is not None:
-        return {"ref": ref}
-    doc = {}
-    if _counts[id(node)] > 1:
-        doc["id"] = _ids[id(node)] = len(_ids)
-    doc["children"] = [_set_node_to_json(c, _counts, _ids) for c in node]
-    return doc
-
-
-def _set_node_from_json(doc, n: int, _defs=None):
-    if _defs is None:
-        _defs = {}
-    if "set" in doc:
-        if doc["set"] not in ("full", "empty"):
-            raise ValueError(f"bad set marker {doc['set']!r}")
-        return doc["set"] == "full"
-    if "ref" in doc:
-        node = _defs.get(doc["ref"])
-        if node is None:
-            raise ValueError(f"ref {doc['ref']} precedes its definition")
-        return node
-    children = doc["children"]
-    if len(children) != n:
-        raise ValueError(f"set node has {len(children)} children, want {n}")
-    node = make_set_node(_set_node_from_json(c, n, _defs) for c in children)
-    if "id" in doc:
-        _defs[doc["id"]] = node
-    return node
+def _set_leaf(marker) -> bool:
+    if marker not in ("full", "empty"):
+        raise ValueError(f"bad set marker {marker!r}")
+    return marker == "full"
 
 
 def pair_to_json(Q: float, d: int, w: DyadicWeight, E: DyadicSet) -> dict:
     return {
         "Q": Q,
         "d": d,
-        "weight": _weight_node_to_json(w.tree),
-        "set": _set_node_to_json(E.tree),
+        "weight": _tree_to_json(w.tree, lambda v: {"leaf": float(v)}),
+        "set": _tree_to_json(
+            E.tree, lambda v: {"set": "full" if v else "empty"}),
     }
 
 
@@ -467,19 +362,10 @@ def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
     Q = float(doc["Q"])
     d = int(doc["d"])
     n = 2**d
-    w = DyadicWeight(n, _weight_node_from_json(doc["weight"], n))
-    E = DyadicSet(n, _set_node_from_json(doc["set"], n))
+    w = DyadicWeight(n, _tree_from_json(doc["weight"], n, "weight", "leaf",
+                                        float, tuple))
+    E = DyadicSet(n, _tree_from_json(doc["set"], n, "set", "set", _set_leaf,
+                                     make_set_node))
     validate_weight(w, max_depth)
     validate_set(E, max_depth)
     return Q, d, w, E
-
-
-def as_fraction_weight(w: DyadicWeight) -> DyadicWeight:
-    """Convert every leaf to an exact Fraction (floats convert exactly)."""
-
-    def walk(node):
-        if _is_leaf(node):
-            return node if isinstance(node, Rational) else Fraction(node)
-        return tuple(walk(c) for c in node)
-
-    return DyadicWeight(w.n, walk(w.tree))

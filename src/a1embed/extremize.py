@@ -43,18 +43,16 @@ from .dyadic import (
 )
 from .params import (
     BOUNDARY_TOL,
+    CONCAT_DIGITS_MAX,
+    CORNER_K_MAX,
+    DIGITS_MAX,
     DegenerateParamsError,
     DomainError,
     DomainPoint,
+    InvariantError,
     Params,
     in_omega,
 )
-
-# Caps on the binary-digit truncation parameter, not on tree depth:
-# nested constructions stack to roughly 2*depth + k levels of tree.
-DIGITS_MAX = 32
-CONCAT_DIGITS_MAX = 40
-CORNER_K_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,14 @@ class ExtremalPair:
 def _finalize(p: Params, w: DyadicWeight, E: DyadicSet,
               target: DomainPoint, depth: int) -> ExtremalPair:
     st = stats(w, E)
-    assert float(st.char) <= p.Q + 1e-9, f"characteristic {float(st.char)} > Q"
-    assert st.m == 1, f"minimum {st.m!r} not normalized to 1"
+    if not float(st.char) <= p.Q + 1e-9:
+        raise InvariantError(f"characteristic {float(st.char)} > Q = {p.Q}")
+    if st.m != 1:
+        raise InvariantError(f"minimum {st.m!r} not normalized to 1")
     x, y = float(st.x), float(st.y)
-    assert float(st.value) <= eval_B(p, x, min(y, p.Q), 1.0) + 1e-9
+    bound = eval_B(p, x, min(y, p.Q), 1.0)
+    if not float(st.value) <= bound + 1e-9:
+        raise InvariantError(f"captured mass {float(st.value)} > B = {bound}")
     return ExtremalPair(w, E, target, st, depth)
 
 

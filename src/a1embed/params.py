@@ -21,6 +21,12 @@ from typing import Optional
 D_MAX = 20          # N = 2^d stays a safe exact integer/float
 BOUNDARY_TOL = 1e-12
 
+# Caps on the constructions' binary-digit truncation and corner index, not on
+# tree depth: nested constructions stack to roughly 2*depth + k levels of tree.
+DIGITS_MAX = 32
+CONCAT_DIGITS_MAX = 40
+CORNER_K_MAX = 32
+
 
 class DomainError(ValueError):
     """A point lies outside the domain an operation is defined on."""
@@ -32,6 +38,10 @@ class NodePointError(ValueError):
 
 class DegenerateParamsError(ValueError):
     """Operation undefined for the degenerate bound Q = 1."""
+
+
+class InvariantError(ValueError):
+    """A constructed pair breaks a bound it is proved to satisfy."""
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,6 @@ class DomainPoint:
     x: float
     y: float
     m: Optional[float] = None
-
-    def with_default_m(self) -> "DomainPoint":
-        return self if self.m is not None else DomainPoint(self.x, self.y, 1.0)
 
 
 def new_params(Q: float, d: int) -> Params:

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a1embed import (
     DyadicSet,
     DyadicWeight,
+    WeightStats,
     a1_characteristic,
     average,
     boundary_weight,
@@ -26,12 +28,14 @@ from a1embed import (
     weight_on_set,
 )
 from a1embed.dyadic import (
+    DEFAULT_MAX_DEPTH,
     as_fraction_weight,
     make_set_node,
     tree_depth,
     validate_set,
     validate_weight,
 )
+from a1embed.params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX
 
 
 def random_weight_node(rng, n, depth):
@@ -185,6 +189,8 @@ def test_validation_errors():
         validate_weight(DyadicWeight(2, deep), max_depth=4)
     with pytest.raises(ValueError):
         validate_set(DyadicSet(2, (True, (False, True, True))))
+    with pytest.raises(ValueError, match="zero leaf"):
+        a1_characteristic(DyadicWeight(2, (0.0, 1.0)))
 
 
 def test_tree_depth():
@@ -250,3 +256,116 @@ def test_json_malformed_documents():
            "set": {"set": "full"}}
     with pytest.raises(ValueError):
         pair_from_json(bad)
+
+
+def unique_nodes(tree) -> int:
+    seen = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node)
+    return len(seen)
+
+
+def test_fraction_conversion_keeps_sharing(p102):
+    # expanded, the depth-32 pair has about 1e20 leaves: the conversion must
+    # follow the sharing, not copy it out (depth 4 first, which a copying
+    # conversion still finishes, and fails on the node count)
+    for depth, exact in ((4, False), (32, False), (32, True)):
+        pair = build_extremizer(p102, 0.3, 8.0, depth, exact=exact)
+        w = as_fraction_weight(pair.w)
+        assert unique_nodes(w.tree) == unique_nodes(pair.w.tree)
+        a, b = stats(pair.w, pair.E), stats(w, pair.E)
+        if exact:
+            assert a == b
+        else:
+            assert (a.x, a.m) == (b.x, b.m)
+            for f in ("y", "char", "value"):
+                assert getattr(a, f) == pytest.approx(getattr(b, f), rel=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_corner(new_params(10.0, 2), 32),
+    lambda: build_extremizer(new_params(10.0, 2), 0.3, 8.0, 32),
+    lambda: build_extremizer(new_params(1.0001, 1), 2**-20 * 0.5, 1.00005, 32),
+    lambda: build_extremizer(new_params(1.0001, 1), 2**-30.9 * 0.1, 1.00001, 32),
+], ids=["corner-k32", "d2-depth32", "Q1.0001-depth93", "Q1.0001-depth104"])
+def test_default_depth_cap_reloads_every_construction(make):
+    assert DEFAULT_MAX_DEPTH == DIGITS_MAX + CONCAT_DIGITS_MAX + CORNER_K_MAX + 2
+    pair = make()
+    assert tree_depth(pair.w) <= DEFAULT_MAX_DEPTH
+    doc = json.loads(json.dumps(pair_to_json(10.0, pair.w.n.bit_length() - 1,
+                                             pair.w, pair.E)))
+    _, _, w, E = pair_from_json(doc)
+    assert tree_depth(w) == tree_depth(pair.w)
+    assert stats(w, E) == stats(pair.w, pair.E)
+
+
+# Small weight trees with shared subtrees: every new node draws its children
+# from all the nodes built so far, so one object may sit under many parents.
+@st.composite
+def shared_weight_trees(draw):
+    n = draw(st.sampled_from([2, 4]))
+    if draw(st.booleans()):
+        leaves = st.fractions(min_value=Fraction(1, 8), max_value=64,
+                              max_denominator=12)
+    else:
+        leaves = st.floats(min_value=0.125, max_value=64.0)
+    pool = draw(st.lists(leaves, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(1, 6))):
+        pool.append(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    return DyadicWeight(n, pool[-1])
+
+
+def naive_leaves(node, n, running=None):
+    """(leaf, maximal function at the leaf) pairs, with no memo at all."""
+    avg = naive_average(node, n)
+    running = avg if running is None else max(running, avg)
+    if not isinstance(node, tuple):
+        return [(node, running)]
+    return [pair for c in node for pair in naive_leaves(c, n, running)]
+
+
+def naive_average(node, n):
+    if not isinstance(node, tuple):
+        return node
+    return sum(naive_average(c, n) for c in node) / n
+
+
+def naive_value(wn, en, n):
+    if en is False:
+        return 0
+    if en is True:
+        return naive_average(wn, n)
+    if not isinstance(wn, tuple):
+        return wn * measure(DyadicSet(n, en))
+    return sum(naive_value(a, b, n) for a, b in zip(wn, en)) / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_weight_trees(), st.integers(0, 2**32 - 1))
+def test_characteristic_and_stats_match_their_definitions(w, seed):
+    # the characteristic is the largest ratio (maximal function)/(weight)
+    # over the leaves; the tree fold must give it bit for bit
+    mx = []
+
+    def zip_leaves(a, b):
+        if isinstance(a, tuple):
+            for x, y in zip(a, b):
+                zip_leaves(x, y)
+        else:
+            mx.append(b / a)
+
+    zip_leaves(w.tree, maximal_function(w).tree)
+    assert a1_characteristic(w) == max(mx)
+
+    E = DyadicSet(w.n, random_set_node(random.Random(seed), w.n, 3))
+    leaves = naive_leaves(w.tree, w.n)
+    assert stats(w, E) == WeightStats(
+        x=measure(E),
+        y=naive_average(w.tree, w.n),
+        m=min(v for v, _ in leaves),
+        char=max(mxv / v for v, mxv in leaves),
+        value=naive_value(w.tree, E.tree, w.n))

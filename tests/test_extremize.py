@@ -1,7 +1,11 @@
 """Constructive near-extremizers: boundary pairs, corner iteration, mixing."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from a1embed import (
     DegenerateParamsError,
     DomainError,
     DyadicSet,
+    InvariantError,
     apply_S,
     apply_T,
     boundary_weight,
@@ -198,3 +203,49 @@ def test_extremizer_exact_mode_on_corner(p102):
 
 def test_truncation_depth_recorded(p102):
     assert build_extremizer(p102, 0.3, 8.0, depth=14).truncation_depth == 14
+
+
+BAD_FINALIZE = """
+import sys
+from a1embed import DomainPoint, DyadicSet, DyadicWeight, InvariantError, new_params
+from a1embed.extremize import _finalize
+p = new_params(10.0, 2)
+cases = [
+    (1.0, 1.0, 1.0, 100.0),   # characteristic 25.75 > Q
+    (2.0, 2.0, 2.0, 20.0),    # minimum 2, not normalized
+]
+for leaves in cases:
+    try:
+        _finalize(p, DyadicWeight(4, leaves), DyadicSet(4, True),
+                  DomainPoint(1.0, 1.0, 1.0), 0)
+    except InvariantError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        sys.exit("no error")
+"""
+
+
+def test_finalize_invariants_survive_optimize_flag():
+    # python -O strips assert statements; the invariant checks must not be
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-O", "-c", BAD_FINALIZE],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("InvariantError characteristic 25.75 > Q")
+    assert lines[1].startswith("InvariantError minimum 2.0 not normalized")
+
+
+def test_finalize_rejects_mass_above_bound(p102, monkeypatch, capsys):
+    import a1embed.extremize as ex
+    from a1embed.cli import main
+
+    monkeypatch.setattr(ex, "eval_B", lambda p, x, y, m: 1.0)
+    with pytest.raises(InvariantError, match="captured mass"):
+        boundary_weight(p102, 7.0)
+    # the command line reports a broken invariant as an error, exit code 2
+    assert main(["extremize", "--Q", "10", "--d", "2", "--x", "0.3",
+                 "--y", "8", "--depth", "6"]) == 2
+    assert "error: captured mass" in capsys.readouterr().err

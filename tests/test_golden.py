@@ -1,0 +1,105 @@
+"""Golden outputs: SHA-256 of CLI runs whose bytes must not change.
+
+Each case runs `a1embed` in-process and hashes its exit code, stdout and
+stderr.  The hashes pin the JSON of shallow and deep extremal pairs (float
+and exact leaves, five dimensions, both branches), the oracle's JSON table
+and the weak-type suite, so a refactor of the tree or JSON code that moves a
+single byte fails here.  A change that alters an output on purpose updates
+the hash and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from a1embed.cli import main
+
+EXTREMIZE_POINTS = [
+    # (Q, d, x, y, depth)
+    (10, 2, 0.3, 8, 6),
+    (10, 2, 0.3, 8, 20),
+    (10, 2, 0.3, 8, 32),
+    (10, 2, 0.05, 9.5, 32),
+    (10, 2, 0.5, 2, 16),
+    (10, 1, 0.01, 6, 24),
+    (1.0001, 1, 0.3, 1.00005, 32),
+    (3, 3, 0.2, 2.5, 12),
+    (5, 4, 0.4, 1.5, 10),
+    (10, 10, 0.3, 8, 8),
+]
+
+CASES = [
+    ["extremize", "--Q", str(Q), "--d", str(d), "--x", str(x), "--y", str(y),
+     "--depth", str(depth)] + exact
+    for Q, d, x, y, depth in EXTREMIZE_POINTS
+    for exact in ([], ["--exact"])
+] + [
+    ["oracle", "--Q", "2", "--d", "1", "--depth", "2", "--format", "json"],
+    ["oracle", "--Q", "3", "--d", "2", "--depth", "1", "--grid", "4",
+     "--format", "json"],
+    ["verify", "--Q", "10", "--d", "2", "--suite", "weak-type"],
+]
+
+GOLDEN = {
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6":
+        "447e7f86a3970f50275d0bd6a986dcc97724528871d93d001e3dc37c693f7c2b",
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6 --exact":
+        "447e7f86a3970f50275d0bd6a986dcc97724528871d93d001e3dc37c693f7c2b",
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 20":
+        "d8199ea7ae28840f9e95415d00cf697be39e4d1b6e9fce738e840f8f962fe2e7",
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 20 --exact":
+        "d8199ea7ae28840f9e95415d00cf697be39e4d1b6e9fce738e840f8f962fe2e7",
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 32":
+        "b49f07984ba63584a8b28340413b01aafb705e3aafbaab6ee8e8f9feaf428427",
+    "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 32 --exact":
+        "3b82c5fb8dafe0e6162a7540fc50d5fa6a9b274256d169f03146ed3d0c68725c",
+    "extremize --Q 10 --d 2 --x 0.05 --y 9.5 --depth 32":
+        "b547462946d9ede2d5dee1ecba22d34080d732c330abe55836fe716cef045e60",
+    "extremize --Q 10 --d 2 --x 0.05 --y 9.5 --depth 32 --exact":
+        "956395ccdbdb366c90b5abb3e03e9152e593077317dcc8e001a66e5939bddac6",
+    "extremize --Q 10 --d 2 --x 0.5 --y 2 --depth 16":
+        "6aacbb0a98b6bb7dc3d11ebfa67b2110520868fa35d0fea2f42d03b7d888f229",
+    "extremize --Q 10 --d 2 --x 0.5 --y 2 --depth 16 --exact":
+        "6aacbb0a98b6bb7dc3d11ebfa67b2110520868fa35d0fea2f42d03b7d888f229",
+    "extremize --Q 10 --d 1 --x 0.01 --y 6 --depth 24":
+        "44dd71441c4215afde813b1f481a52b1db30719c42bd34eab0131050ab1d5be8",
+    "extremize --Q 10 --d 1 --x 0.01 --y 6 --depth 24 --exact":
+        "12c32d0d30e74e2fd012092668d6369188ad63eb7919ef2e1a1099339963f75a",
+    "extremize --Q 1.0001 --d 1 --x 0.3 --y 1.00005 --depth 32":
+        "7e69679f4aedd059dd865873bc3289392daf7fbb59ca1d5c28819bef12653025",
+    "extremize --Q 1.0001 --d 1 --x 0.3 --y 1.00005 --depth 32 --exact":
+        "7e69679f4aedd059dd865873bc3289392daf7fbb59ca1d5c28819bef12653025",
+    "extremize --Q 3 --d 3 --x 0.2 --y 2.5 --depth 12":
+        "e64b4ccdd78f2e22b4f8720d28f9d9b9c7d88f32017e4567b692a7b503eb6722",
+    "extremize --Q 3 --d 3 --x 0.2 --y 2.5 --depth 12 --exact":
+        "6b10afca5375e1e442ab63cb1a2cf87b11fddb1139c20ccd8540114b89551cb4",
+    "extremize --Q 5 --d 4 --x 0.4 --y 1.5 --depth 10":
+        "6cf1f5e26bdc57c3ffebb4ecc8c6bf4e0d9ae348d275d09eb1a58dce2454a9e6",
+    "extremize --Q 5 --d 4 --x 0.4 --y 1.5 --depth 10 --exact":
+        "6cf1f5e26bdc57c3ffebb4ecc8c6bf4e0d9ae348d275d09eb1a58dce2454a9e6",
+    "extremize --Q 10 --d 10 --x 0.3 --y 8 --depth 8":
+        "97ab200729287218ef23daaca1ab030ced3d3deab698d6fb868911f837806837",
+    "extremize --Q 10 --d 10 --x 0.3 --y 8 --depth 8 --exact":
+        "97ab200729287218ef23daaca1ab030ced3d3deab698d6fb868911f837806837",
+    "oracle --Q 2 --d 1 --depth 2 --format json":
+        "0f5da43b8d6bc3c2ebaa284de1fbf74a7c2a2c5eaae99ca28d6c0148bb0c3e3e",
+    "oracle --Q 3 --d 2 --depth 1 --grid 4 --format json":
+        "601c3098916a92e64ef22afce2d0d2d32de60203d3f615c0b1a8a1cb4f690597",
+    "verify --Q 10 --d 2 --suite weak-type":
+        "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
+}
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_is_byte_identical(argv):
+    assert digest(argv) == GOLDEN[" ".join(argv)]
