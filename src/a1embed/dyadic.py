@@ -103,25 +103,25 @@ def make_set_node(children) -> SetNode:
 
 def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
               canonical: bool) -> None:
-    seen: dict[int, int] = {}
+    height: dict[int, int] = {}
 
-    def walk(node, depth):
-        if depth > max_depth:
+    def walk(node, depth) -> int:
+        # a shared node is walked once; its height checks the cap on revisits
+        h = height.get(id(node), 0)
+        if depth + h > max_depth:
             raise ValueError(f"{kind} tree deeper than {max_depth}")
         if _is_leaf(node):
             check_leaf(node)
-            return
-        # shared nodes recur at several depths; the cap binds at the deepest
-        prior = seen.get(id(node))
-        if prior is not None and prior >= depth:
-            return
-        seen[id(node)] = depth
-        if len(node) != n:
-            raise ValueError(f"internal node has {len(node)} children, want {n}")
-        if canonical and isinstance(make_set_node(node), bool):
-            raise ValueError("internal set node with uniform children (not canonical)")
-        for c in node:
-            walk(c, depth + 1)
+        elif id(node) not in height:
+            if len(node) != n:
+                raise ValueError(f"internal node has {len(node)} children, want {n}")
+            if canonical and isinstance(make_set_node(node), bool):
+                raise ValueError("internal set node with uniform children "
+                                 "(not canonical)")
+            for c in node:
+                h = max(h, walk(c, depth + 1))
+            h = height[id(node)] = h + 1
+        return h
 
     walk(root, 0)
 

@@ -13,20 +13,17 @@ Three kinds of evidence, none of which trusts the formulas being tested:
     captured mass per (set measure, average) bucket, in exact rational
     arithmetic.
 
-Randomness is counter-based (Philox keyed by (seed, stream)), with a
-fixed chunk schedule, so reports are bit-identical no matter how many
-worker threads BELLMAN_THREADS allows.
+Randomness is counter-based (Philox keyed by (seed, stream)) over a
+fixed chunk plan, so a report depends only on its arguments.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -43,8 +40,7 @@ from .dyadic import (
 from .params import DomainError, Params, osekowski_p_max
 
 CHUNK = 1 << 16
-WAVE = 8            # chunks per scheduling wave; fixed so the chunk set
-                    # never depends on the worker count
+WAVE = 8            # main-M chunks between checks of the admitted count
 MAX_WAVES = 4096
 
 
@@ -73,36 +69,46 @@ def _report(suite: str, samples: int, slack: float, witness, tol: float,
     return CheckReport(suite, samples, slack, witness, slack >= -tol, notes)
 
 
-def _threads() -> int:
-    try:
-        n = int(os.environ.get("BELLMAN_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_streams(fn: Callable[[int], Any], streams: list[int]) -> list:
-    n = _threads()
-    if n > 1 and len(streams) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, streams))
-    return [fn(s) for s in streams]
-
-
 def _gen(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _argmin_merge(best: tuple[float, Any], slacks: np.ndarray,
-                  witness_cols: list[np.ndarray]) -> tuple[float, Any]:
-    """Fold a chunk into (worst slack, witness); first occurrence wins ties."""
-    if slacks.size == 0:
-        return best
-    i = int(np.argmin(slacks))
-    s = float(slacks[i])
-    if s < best[0]:
-        return s, tuple(float(c[i]) for c in witness_cols)
-    return best
+def _quota(rows: int, key: int = 0) -> Iterable[tuple[int, int, int]]:
+    """Chunk plan for `rows` rows on the streams (key << 32) | 0, 1, ..."""
+    for i, start in enumerate(range(0, rows, CHUNK)):
+        yield (key << 32) | i, min(CHUNK, rows - start), key
+
+
+def _row(*cols: np.ndarray) -> Callable[[int], tuple]:
+    return lambda i: tuple(float(c[i]) for c in cols)
+
+
+def _sweep(seed: int, chunks: Iterable[tuple[int, int, int]],
+           draw: Callable) -> tuple[float, Any, int, float]:
+    """Fold a chunk plan into (worst slack, witness, rows, relative slack).
+
+    For each (stream, size, key) of the plan, draw(generator, size, key)
+    returns the chunk's slacks, a function giving row i's witness, and a
+    per-row scale (1 where the slack is absolute).  The worst slack is the
+    first minimum in plan order; the relative slack is min(slack / scale).
+    """
+    worst, witness, rows, rel = math.inf, None, 0, math.inf
+    for stream, size, key in chunks:
+        slacks, row, scale = draw(_gen(seed, stream), size, key)
+        if slacks.size == 0:
+            continue
+        rows += slacks.size
+        i = int(np.argmin(slacks))
+        if slacks[i] < worst:
+            worst, witness = float(slacks[i]), row(i)
+        rel = min(rel, float(np.min(slacks / scale)))
+    return worst, witness, rows, rel
+
+
+def _swept(suite: str, swept: tuple, tol: float,
+           notes: str = "") -> CheckReport:
+    worst, witness, rows, rel = swept
+    return CheckReport(suite, rows, worst, witness, rel >= -tol, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -115,48 +121,50 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     Draws (x, y), (xt, yt) uniformly from the domain square and keeps
     samples satisfying xt <= x (which forces xhat = Nx - (N-1)xt >= 0),
     xhat <= 1, and yhat = Ny - (N-1)yt >= Q.  Slack is
-    M(x,y) - [(N-1)/N M(xt,yt) + yhat/(NQ) M(xhat, Q)].
+    M(x,y) - [(N-1)/N M(xt,yt) + yhat/(NQ) M(xhat, Q)].  Raises
+    DomainError if MAX_WAVES waves admit fewer than n_samples rows.
     """
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
+    if n_samples < 1:
+        raise DomainError("main inequality sampler needs n_samples >= 1")
     N, Q = p.N, p.Q
+    tally = [0, 0, 0, 0]            # admitted, drawn, xt <= x, xhat >= 0
 
-    def one_chunk(stream: int):
-        g = _gen(seed, stream)
-        x = g.uniform(0.0, 1.0, CHUNK)
-        xt = g.uniform(0.0, 1.0, CHUNK)
-        y = g.uniform(1.0, Q, CHUNK)
-        yt = g.uniform(1.0, Q, CHUNK)
+    def draw(g, c, _):
+        x = g.uniform(0.0, 1.0, c)
+        xt = g.uniform(0.0, 1.0, c)
+        y = g.uniform(1.0, Q, c)
+        yt = g.uniform(1.0, Q, c)
         xhat = N * x - (N - 1) * xt
         yhat = N * y - (N - 1) * yt
         ok_order = xt <= x
-        ok_hat = xhat >= 0
         keep = ok_order & (xhat <= 1.0) & (yhat >= Q)
         cols = [x[keep], y[keep], xt[keep], yt[keep], xhat[keep], yhat[keep]]
         lhs = _M_vec(p, cols[0], cols[1])
         rhs = ((N - 1) / N * _M_vec(p, cols[2], cols[3])
                + cols[5] / (N * Q) * _M_vec(p, cols[4], np.full_like(cols[4], Q)))
-        return (int(keep.sum()), lhs - rhs, cols,
-                int(ok_order.sum()), int(ok_hat.sum()), CHUNK)
+        tally[0] += int(keep.sum())
+        tally[1] += c
+        tally[2] += int(ok_order.sum())
+        tally[3] += int((xhat >= 0).sum())
+        return lhs - rhs, _row(*cols), 1.0
 
-    total = raw = n_order = n_hat = 0
-    best: tuple[float, Any] = (math.inf, None)
-    wave = 0
-    while total < n_samples and wave < MAX_WAVES:
-        streams = list(range(wave * WAVE, (wave + 1) * WAVE))
-        for cnt, slacks, cols, c_order, c_hat, c_raw in _map_streams(one_chunk, streams):
-            total += cnt
-            n_order += c_order
-            n_hat += c_hat
-            raw += c_raw
-            best = _argmin_merge(best, slacks, cols)
-        wave += 1
+    def waves():
+        for wave in range(MAX_WAVES):
+            if tally[0] >= n_samples:
+                return
+            for stream in range(wave * WAVE, (wave + 1) * WAVE):
+                yield stream, CHUNK, 0
+
+    swept = _sweep(seed, waves(), draw)
+    admitted, raw, n_order, n_hat = tally
+    if admitted < n_samples:
+        raise DomainError(f"main inequality sampler admitted {admitted} of "
+                          f"{n_samples} requested samples in {raw} draws")
     notes = (f"constraint xt<=x implies xhat>=0 and is the one that binds: "
              f"raw pass rates xt<=x {n_order / raw:.4f}, xhat>=0 {n_hat / raw:.4f}")
-    if total == 0:
-        return CheckReport("main-inequality-M", 0, math.inf, None, True,
-                           "no admissible samples drawn; " + notes)
-    return _report("main-inequality-M", total, best[0], best[1], tol, notes)
+    return _swept("main-inequality-M", swept, tol, notes)
 
 
 def check_main_inequality_B(p: Params, n_samples: int = 100_000,
@@ -173,46 +181,31 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
     N, Q = p.N, p.Q
     per = -(-n_samples // N)
 
-    def one_stratum(n_low: int):
-        rows_left = per
-        chunk_id = 0
-        best: tuple[float, Any] = (math.inf, None)
-        done = 0
-        while rows_left > 0:
-            c = min(rows_left, CHUNK)
-            g = _gen(seed, (n_low << 32) | chunk_id)
-            n_hi = N - n_low
-            xs = g.uniform(0.0, 1.0, (c, N))
-            y_lo = g.uniform(1.0, Q, (c, n_low))
-            if n_hi:
-                slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
-                y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
-                ys = np.concatenate([y_lo, y_hi], axis=1)
-                ms = np.concatenate([np.ones((c, n_low)), y_hi / Q], axis=1)
-            else:
-                ys = y_lo
-                ms = np.ones((c, N))
-            xbar = xs.mean(axis=1)
-            ybar = ys.mean(axis=1)
-            child = _B_vec(p, xs.ravel(), ys.ravel(), ms.ravel()).reshape(c, N)
-            slacks = _B_vec(p, xbar, ybar, np.ones(c)) - child.mean(axis=1)
-            i = int(np.argmin(slacks))
-            s = float(slacks[i])
-            if s < best[0]:
-                best = (s, {"stratum": n_low,
-                            "x": [float(v) for v in xs[i]],
-                            "y": [float(v) for v in ys[i]],
-                            "m": [float(v) for v in ms[i]]})
-            done += c
-            rows_left -= c
-            chunk_id += 1
-        return done, best
+    def draw(g, c, n_low):
+        n_hi = N - n_low
+        xs = g.uniform(0.0, 1.0, (c, N))
+        y_lo = g.uniform(1.0, Q, (c, n_low))
+        if n_hi:
+            slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
+            y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
+            ys = np.concatenate([y_lo, y_hi], axis=1)
+            ms = np.concatenate([np.ones((c, n_low)), y_hi / Q], axis=1)
+        else:
+            ys = y_lo
+            ms = np.ones((c, N))
+        xbar = xs.mean(axis=1)
+        ybar = ys.mean(axis=1)
+        child = _B_vec(p, xs.ravel(), ys.ravel(), ms.ravel()).reshape(c, N)
+        slacks = _B_vec(p, xbar, ybar, np.ones(c)) - child.mean(axis=1)
+        return slacks, lambda i: {"stratum": n_low,
+                                  "x": [float(v) for v in xs[i]],
+                                  "y": [float(v) for v in ys[i]],
+                                  "m": [float(v) for v in ms[i]]}, 1.0
 
-    results = _map_streams(one_stratum, list(range(1, N + 1)))
-    total = sum(r[0] for r in results)
-    best = min((r[1] for r in results), key=lambda b: b[0])
-    return _report("main-inequality-B", total, best[0], best[1], tol,
-                   f"strata n_low=1..{N}")
+    plan = itertools.chain.from_iterable(_quota(per, n_low)
+                                         for n_low in range(1, N + 1))
+    return _swept("main-inequality-B", _sweep(seed, plan, draw), tol,
+                  f"strata n_low=1..{N}")
 
 
 def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
@@ -229,51 +222,38 @@ def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
     N, Q = p.N, p.Q
     per = -(-n_samples // (k_max + 1))
 
-    def one_wedge(k: int):
+    def draw(g, c, k):
         nodek = N ** (-k)
         x_lo = N ** (-k - 1.0)
         x_hi = (N - 1 + nodek) / N
         y_lo = (Q + N - 1) / N
-        rows_left = per
-        chunk_id = 0
-        best: tuple[float, Any] = (math.inf, None)
-        done = 0
-        while rows_left > 0:
-            c = min(rows_left, CHUNK)
-            g = _gen(seed, (k << 32) | chunk_id)
-            x = x_lo + (x_hi - x_lo) * g.uniform(0.0, 1.0, c)
-            y_cap = np.minimum(Q, 1 + (Q - 1) * N**k * x)
-            y = y_lo + (y_cap - y_lo) * g.uniform(0.0, 1.0, c)
-            xh_lo = np.maximum(0.0, N * x - (N - 1))
-            xhat = xh_lo + (nodek - xh_lo) * g.uniform(0.0, 1.0, c)
-            yh_lo = np.maximum(Q, N * y - (N - 1) * Q)
-            yh_hi = N * y - (N - 1)
-            yhat = yh_lo + (yh_hi - yh_lo) * g.uniform(0.0, 1.0, c)
-            pin = min(64, c // 2)
-            xhat[:pin] = nodek          # sharp edge: slack 0 expected
-            yhat[pin:2 * pin] = Q
-            xt = (N * x - xhat) / (N - 1)
-            yt = (N * y - yhat) / (N - 1)
-            lhs = _wedge_vec(p, k, x, y)
-            rhs = ((N - 1) / N * _wedge_vec(p, k, xt, yt)
-                   + yhat / (N * Q) * _wedge_vec(p, k, xhat, np.full(c, Q)))
-            slacks = lhs - rhs
-            i = int(np.argmin(slacks))
-            s = float(slacks[i])
-            if s < best[0]:
-                best = (s, {"k": k, "x": float(x[i]), "y": float(y[i]),
-                            "xt": float(xt[i]), "yt": float(yt[i]),
-                            "xhat": float(xhat[i]), "yhat": float(yhat[i])})
-            done += c
-            rows_left -= c
-            chunk_id += 1
-        return done, best
+        x = x_lo + (x_hi - x_lo) * g.uniform(0.0, 1.0, c)
+        y_cap = np.minimum(Q, 1 + (Q - 1) * N**k * x)
+        y = y_lo + (y_cap - y_lo) * g.uniform(0.0, 1.0, c)
+        xh_lo = np.maximum(0.0, N * x - (N - 1))
+        xhat = xh_lo + (nodek - xh_lo) * g.uniform(0.0, 1.0, c)
+        yh_lo = np.maximum(Q, N * y - (N - 1) * Q)
+        yh_hi = N * y - (N - 1)
+        yhat = yh_lo + (yh_hi - yh_lo) * g.uniform(0.0, 1.0, c)
+        pin = min(64, c // 2)
+        xhat[:pin] = nodek          # sharp edge: slack 0 expected
+        yhat[pin:2 * pin] = Q
+        xt = (N * x - xhat) / (N - 1)
+        yt = (N * y - yhat) / (N - 1)
+        lhs = _wedge_vec(p, k, x, y)
+        rhs = ((N - 1) / N * _wedge_vec(p, k, xt, yt)
+               + yhat / (N * Q) * _wedge_vec(p, k, xhat, np.full(c, Q)))
+        # both sides grow like (N eta)^k; pass or fail on the relative slack
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        return lhs - rhs, lambda i: {
+            "k": k, "x": float(x[i]), "y": float(y[i]), "xt": float(xt[i]),
+            "yt": float(yt[i]), "xhat": float(xhat[i]),
+            "yhat": float(yhat[i])}, scale
 
-    results = _map_streams(one_wedge, list(range(0, k_max + 1)))
-    total = sum(r[0] for r in results)
-    best = min((r[1] for r in results), key=lambda b: b[0])
-    return _report("wedge", total, best[0], best[1], tol,
-                   f"k=0..{k_max}, xhat capped at N^-k")
+    plan = itertools.chain.from_iterable(_quota(per, k)
+                                         for k in range(k_max + 1))
+    return _swept("wedge", _sweep(seed, plan, draw), tol,
+                  f"k=0..{k_max}, xhat capped at N^-k")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +263,8 @@ def check_concavity(p: Params, n_samples: int = 10_000, seed: int = 0,
                     tol: float = 1e-9) -> CheckReport:
     if p.degenerate:
         raise DomainError("concavity check needs Q > 1")
-    n_chunks = -(-n_samples // CHUNK)
 
-    def one_chunk(stream: int):
-        g = _gen(seed, stream)
-        c = min(CHUNK, n_samples - stream * CHUNK)
+    def draw(g, c, _):
         x1 = g.uniform(0.0, 1.0, c)
         x2 = g.uniform(0.0, 1.0, c)
         y1 = g.uniform(1.0, p.Q, c)
@@ -297,34 +274,25 @@ def check_concavity(p: Params, n_samples: int = 10_000, seed: int = 0,
         ym = lam * y1 + (1 - lam) * y2
         slacks = (_M_vec(p, xm, ym)
                   - lam * _M_vec(p, x1, y1) - (1 - lam) * _M_vec(p, x2, y2))
-        return slacks, [x1, y1, x2, y2, lam]
+        return slacks, _row(x1, y1, x2, y2, lam), 1.0
 
-    best: tuple[float, Any] = (math.inf, None)
-    for slacks, cols in _map_streams(one_chunk, list(range(n_chunks))):
-        best = _argmin_merge(best, slacks, cols)
-    return _report("concavity", n_samples, best[0], best[1], tol)
+    return _swept("concavity", _sweep(seed, _quota(n_samples), draw), tol)
 
 
 def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
                          tol: float = 1e-9) -> CheckReport:
     if p.degenerate:
         raise DomainError("rescaling check needs Q > 1")
-    n_chunks = -(-n_samples // CHUNK)
 
-    def one_chunk(stream: int):
-        g = _gen(seed, stream)
-        c = min(CHUNK, n_samples - stream * CHUNK)
+    def draw(g, c, _):
         x = g.uniform(0.0, 1.0, c)
         y = g.uniform(1.0, p.Q, c)
         t2 = 1 + (y - 1) * g.uniform(0.0, 1.0, c)      # keeps y/t2 >= 1
         t1 = 1 + (t2 - 1) * g.uniform(0.0, 1.0, c)
         slacks = t1 * _M_vec(p, x, y / t1) - t2 * _M_vec(p, x, y / t2)
-        return slacks, [x, y, t1, t2]
+        return slacks, _row(x, y, t1, t2), 1.0
 
-    best: tuple[float, Any] = (math.inf, None)
-    for slacks, cols in _map_streams(one_chunk, list(range(n_chunks))):
-        best = _argmin_merge(best, slacks, cols)
-    return _report("t-monotonicity", n_samples, best[0], best[1], tol)
+    return _swept("t-monotonicity", _sweep(seed, _quota(n_samples), draw), tol)
 
 
 def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,

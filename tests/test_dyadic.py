@@ -27,6 +27,7 @@ from a1embed import (
     value_distribution,
     weight_on_set,
 )
+from a1embed import dyadic
 from a1embed.dyadic import (
     DEFAULT_MAX_DEPTH,
     as_fraction_weight,
@@ -191,6 +192,24 @@ def test_validation_errors():
         validate_set(DyadicSet(2, (True, (False, True, True))))
     with pytest.raises(ValueError, match="zero leaf"):
         a1_characteristic(DyadicWeight(2, (0.0, 1.0)))
+
+
+def test_validation_walks_shared_nodes_once(monkeypatch):
+    # a ladder (b, (b, (b, ... 1.0))) reaches the shared chain b at every
+    # depth 1..10; each distinct node's children are checked once
+    b = 1.0
+    for _ in range(6):
+        b = (b, b)
+    root = 1.0
+    for _ in range(10):
+        root = (b, root)
+    w = DyadicWeight(2, root)
+    leaves = []
+    monkeypatch.setattr(dyadic, "_check_weight_leaf", leaves.append)
+    validate_weight(w, max_depth=16)
+    assert len(leaves) == 3
+    with pytest.raises(ValueError, match="deeper than 15"):
+        validate_weight(w, max_depth=15)
 
 
 def test_tree_depth():

@@ -3,9 +3,9 @@
 Each case runs `a1embed` in-process and hashes its exit code, stdout and
 stderr.  The hashes pin the JSON of shallow and deep extremal pairs (float
 and exact leaves, five dimensions, both branches), the oracle's JSON table
-and the weak-type suite, so a refactor of the tree or JSON code that moves a
-single byte fails here.  A change that alters an output on purpose updates
-the hash and says why.
+and every verify suite, so a refactor of the tree, JSON or sampling code
+that moves a single byte fails here.  A change that alters an output on
+purpose updates the hash and says why.
 """
 
 import contextlib
@@ -40,6 +40,11 @@ CASES = [
     ["oracle", "--Q", "3", "--d", "2", "--depth", "1", "--grid", "4",
      "--format", "json"],
     ["verify", "--Q", "10", "--d", "2", "--suite", "weak-type"],
+] + [
+    # 70000 samples: partial chunks, several strata and wedges per sampler
+    ["verify", "--Q", Q, "--d", d, "--suite", "all", "--format", "json",
+     "--seed", "7", "--samples", "70000"]
+    for Q, d in (("10", "2"), ("5", "3"))
 ]
 
 GOLDEN = {
@@ -89,6 +94,10 @@ GOLDEN = {
         "601c3098916a92e64ef22afce2d0d2d32de60203d3f615c0b1a8a1cb4f690597",
     "verify --Q 10 --d 2 --suite weak-type":
         "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
+    "verify --Q 10 --d 2 --suite all --format json --seed 7 --samples 70000":
+        "4076826d080d1a1241d4b1b3d53f28f85cf64cf49a93be6ca748c8fe2365e28c",
+    "verify --Q 5 --d 3 --suite all --format json --seed 7 --samples 70000":
+        "1a372df3f3f0dd78475fe45e15e7b9e7c08186a49b66a16245a8c331e371f80c",
 }
 
 

@@ -1,5 +1,6 @@
 """Samplers, property suites, weak-type endpoint, and the brute-force oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,9 @@ from a1embed import (
     run_suite,
     stats,
 )
+from a1embed import verify
+from a1embed.bellman import _wedge_vec
+from a1embed.cli import main
 from a1embed.verify import SUITES
 
 
@@ -58,13 +62,39 @@ def test_sampler_determinism(p102):
     assert c.worst_slack != a.worst_slack
 
 
-def test_sampler_thread_invariance(p102, monkeypatch):
-    monkeypatch.setenv("BELLMAN_THREADS", "1")
-    a = check_main_inequality_B(p102, n_samples=20000, seed=5)
-    monkeypatch.setenv("BELLMAN_THREADS", "4")
-    b = check_main_inequality_B(p102, n_samples=20000, seed=5)
-    assert a.worst_slack == b.worst_slack
-    assert a.worst_witness == b.worst_witness
+@pytest.mark.parametrize("d", [10, 12])
+def test_wedge_inequality_tolerates_roundoff(d):
+    # the two sides reach about 6e14 (d=10) and 6e17 (d=12); the negative
+    # absolute slack is round-off, a few 1e-16 of either side
+    r = check_wedge_inequality(new_params(10, d), n_samples=20000)
+    assert r.passed
+    assert r.worst_slack < -1e-9
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_wedge_inequality_catches_relative_violation(d, monkeypatch):
+    # shrink the left side, the first of the three wedge calls per chunk,
+    # by a relative 1e-6; the sharp-edge rows then fail by about 1e-6
+    calls = itertools.count()
+
+    def shrunk(*args):
+        out = _wedge_vec(*args)
+        return out * (1 - 1e-6) if next(calls) % 3 == 0 else out
+
+    monkeypatch.setattr(verify, "_wedge_vec", shrunk)
+    r = check_wedge_inequality(new_params(10, d), n_samples=20000)
+    assert not r.passed
+
+
+def test_main_inequality_M_refuses_short_run(p102, monkeypatch):
+    monkeypatch.setattr(verify, "MAX_WAVES", 1)
+    with pytest.raises(DomainError, match="of 100000 requested"):
+        check_main_inequality_M(p102, n_samples=100_000)
+    argv = ["verify", "--Q", "10", "--d", "2", "--suite", "main-inequality-M",
+            "--samples", "100000"]
+    assert main(argv) == 2
+    with pytest.raises(DomainError):
+        check_main_inequality_M(p102, n_samples=0)
 
 
 def test_property_suites_pass(p102, p53):
