@@ -13,7 +13,6 @@ from .params import (
     DomainError,
     DomainPoint,
     InvariantError,
-    NodePointError,
     Params,
     in_omega,
     in_omega_b,
@@ -29,7 +28,6 @@ from .bellman import (
     eval_M,
     eval_f,
     eval_f_smooth,
-    f_slope,
     wedge_Mk,
     wedge_coeffs,
 )

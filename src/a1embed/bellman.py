@@ -30,11 +30,11 @@ from .params import (
     BOUNDARY_TOL,
     DegenerateParamsError,
     DomainError,
-    NodePointError,
     Params,
     in_omega,
     in_omega_b,
     in_omega_k,
+    node_scale,
 )
 
 
@@ -81,21 +81,6 @@ def eval_f_smooth(p: Params, x: float) -> float:
     if x >= 1:
         return p.Q
     return p.Q * math.pow(x, p.epsilon)
-
-
-def f_slope(p: Params, x: float) -> float:
-    """One-sided slope (N eta)^k of the profile, defined off breakpoints."""
-    if p.degenerate:
-        raise DegenerateParamsError("boundary profile needs Q > 1")
-    if not (math.isfinite(x) and 0 < x <= 1 + BOUNDARY_TOL):
-        raise DomainError(f"x = {x!r} outside (0, 1)")
-    k, _ = _interval_index(p, x)
-    for j in (k, k + 1):
-        if abs(x - math.ldexp(1.0, -p.d * j)) <= BOUNDARY_TOL:
-            raise NodePointError(f"slope undefined at breakpoint x = N^-{j}")
-    if x >= 1:
-        raise NodePointError("slope undefined at the endpoint x = 1")
-    return math.pow(p.N * p.eta, k)
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,11 @@ def wedge_coeffs(p: Params, k: int) -> WedgeCoeffs:
         raise DegenerateParamsError("wedges need Q > 1")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return WedgeCoeffs(k=k, a=math.pow(p.N * p.eta, k), b=math.pow(p.eta, k))
+    try:
+        a = math.pow(p.N * p.eta, k)
+    except OverflowError:
+        raise DomainError(f"wedge slope (N eta)^{k} overflows a float") from None
+    return WedgeCoeffs(k=k, a=a, b=math.pow(p.eta, k))
 
 
 def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
@@ -244,5 +233,5 @@ def _wedge_vec(p: Params, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + (y - 1)
     ca = wedge_coeffs(p, k - 1)
     cb = wedge_coeffs(p, k)
-    inside = y <= 1 + (p.Q - 1) * p.N**k * x + BOUNDARY_TOL
+    inside = y <= 1 + (p.Q - 1) * node_scale(p, k) * x + BOUNDARY_TOL
     return np.where(inside, ca.a * x + ca.b * (y - 1), cb.a * x + cb.b * (y - 1))

@@ -22,12 +22,7 @@ from . import __version__
 from .bellman import _f_vec, classify_point, eval_B, eval_M
 from .dyadic import pair_to_json
 from .extremize import build_extremizer
-from .params import (
-    DegenerateParamsError,
-    DomainError,
-    Params,
-    new_params,
-)
+from .params import DomainError, Params, new_params
 from .verify import SUITES, brute_force_oracle, default_value_grid, \
     oracle_vs_closed_form, run_suite
 
@@ -237,7 +232,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, DegenerateParamsError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and the other library errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,11 @@ are computed with the leaf type, so rational trees give exact answers.
 
 Trees are plain immutable structures: a weight node is either a number or
 a tuple of N nodes, a set node is either a bool (True = full) or a tuple.
-Subtrees may be shared, so every bottom-up quantity comes from one
-post-order fold memoized on node identity (`_fold`), which keeps deeply
-shared constructions (see extremize) linear-time.
+Subtrees and leaf objects may be shared, so every bottom-up quantity
+comes from one post-order fold memoized on node identity (`_fold`): every
+node, leaf or internal, is folded once per identity.  That keeps deeply
+shared constructions (see extremize) linear-time, and a padding leaf that
+fills N-1 children is summarized, or scaled, once.
 
 The weight statistics all come from one per-node summary
 (average, minimum, characteristic).  The dyadic A1 characteristic is the
@@ -74,18 +76,19 @@ def _is_leaf(node) -> bool:
 def _fold(root, leaf, inner, memo=None):
     """Post-order fold: leaf(value) at leaves, inner(child results) above.
 
-    Results of internal nodes are memoized on node identity, in `memo` when
-    given, so a caller can share them between folds of the same tree.
+    Every node, leaf or internal, is folded once per identity: results are
+    memoized on id(node), in `memo` when given, so a caller can share them
+    between folds of the same tree.  A leaf object repeated across a tree
+    (the padding of a construction) is summarized once.
     """
     if memo is None:
         memo = {}
 
     def walk(node):
-        if _is_leaf(node):
-            return leaf(node)
         r = memo.get(id(node))
         if r is None:
-            r = memo[id(node)] = inner([walk(c) for c in node])
+            r = memo[id(node)] = (leaf(node) if _is_leaf(node)
+                                  else inner([walk(c) for c in node]))
         return r
 
     return walk(root)
@@ -272,7 +275,7 @@ def complement(E: DyadicSet) -> DyadicSet:
 
 
 def scale_weight(w: DyadicWeight, c) -> DyadicWeight:
-    """Multiply every leaf by c > 0."""
+    """Multiply every leaf by c > 0; shared nodes and leaves stay shared."""
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c!r}")
     return DyadicWeight(w.n, _fold(w.tree, lambda v: v * c, tuple))

@@ -23,13 +23,17 @@ it mixes (1, empty) with a point on the y = Q edge, itself a mix of
 the two corner pairs bracketing u = x(Q-1)/(y-1).
 
 With exact=True all leaves are Fractions and eta enters as an exact
-rational, so corner statistics come out exactly Q*eta^k.
+rational, so corner statistics come out exactly Q*eta^k.  apply_T and
+concatenate take exactness from their input pairs (the type of the
+minimum, which both require to be 1).  Every public construction checks
+its result once (_finalize); build_corner checks only its last pair,
+which covers the intermediate ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bellman import _interval_index, eval_B
@@ -78,9 +82,9 @@ def _finalize(p: Params, w: DyadicWeight, E: DyadicSet,
     return ExtremalPair(w, E, target, st, depth)
 
 
-def _exact_scale(p: Params):
-    # N*eta = N - (N-1)/Q as an exact rational
-    return p.N - Fraction(p.N - 1) / Fraction(p.Q)
+def _boundary_tree(p: Params, y, one) -> tuple:
+    # N-1 children share the one `one` leaf; the heavy child lifts the mean to y
+    return (one,) * (p.N - 1) + (1 + p.N * (type(one)(y) - 1),)
 
 
 def boundary_weight(p: Params, y, exact: bool = False) -> ExtremalPair:
@@ -88,15 +92,9 @@ def boundary_weight(p: Params, y, exact: bool = False) -> ExtremalPair:
     if not 1 - BOUNDARY_TOL <= y <= p.Q + BOUNDARY_TOL:
         raise DomainError(f"boundary average y = {y!r} outside [1, Q]")
     y = min(max(y, 1), p.Q)
-    if exact:
-        heavy = 1 + p.N * (Fraction(y) - 1)
-        small = Fraction(1)
-    else:
-        heavy = 1.0 + p.N * (float(y) - 1.0)
-        small = 1.0
-    tree = (small,) * (p.N - 1) + (heavy,)
-    return _finalize(p, DyadicWeight(p.N, tree), DyadicSet(p.N, True),
-                     DomainPoint(1.0, float(y), 1.0), 0)
+    one = Fraction(1) if exact else 1.0
+    return _finalize(p, DyadicWeight(p.N, _boundary_tree(p, y, one)),
+                     DyadicSet(p.N, True), DomainPoint(1.0, float(y), 1.0), 0)
 
 
 def apply_S(E: DyadicSet) -> DyadicSet:
@@ -106,33 +104,52 @@ def apply_S(E: DyadicSet) -> DyadicSet:
     return DyadicSet(E.n, make_set_node((E.tree,) + (False,) * (E.n - 1)))
 
 
-def apply_T(p: Params, pair: ExtremalPair, exact: bool = False) -> ExtremalPair:
+def _unit(p: Params, pair: ExtremalPair, op: str):
+    """Check an input pair (fan-out N, m = 1, char <= Q); return its 1.
+
+    The 1 has the type of the pair's minimum, so an exact pair yields
+    Fraction(1) and the operation stays exact.
+    """
+    if pair.w.n != p.N:
+        raise DomainError(f"{op}: pair fan-out does not match params")
+    if pair.achieved.m != 1 or float(pair.achieved.char) > p.Q + 1e-9:
+        raise DomainError(f"{op} inputs must have m = 1 and char <= Q")
+    return Fraction(1) if isinstance(pair.achieved.m, Fraction) else 1.0
+
+
+def _push_down(p: Params, w: DyadicWeight, E: DyadicSet, one):
+    """One T step: w scaled by N*eta into child 1, the rest padded with one."""
+    scaled = scale_weight(w, p.N - (p.N - 1) / type(one)(p.Q))
+    return DyadicWeight(p.N, (scaled.tree,) + (one,) * (p.N - 1)), apply_S(E)
+
+
+def apply_T(p: Params, pair: ExtremalPair) -> ExtremalPair:
     """Push a y = Q pair one level down; captured mass scales by exactly eta."""
     if abs(float(pair.achieved.y) - p.Q) > 1e-9:
         raise DomainError("apply_T needs a pair with average exactly Q")
-    if pair.achieved.m != 1:
-        raise DomainError("apply_T needs minimum normalized to 1")
-    if float(pair.achieved.char) > p.Q + 1e-9:
-        raise DomainError("apply_T input exceeds the characteristic bound")
-    factor = _exact_scale(p) if exact else p.N - (p.N - 1) / p.Q
-    scaled = scale_weight(pair.w, factor)
-    pad = Fraction(1) if exact else 1.0
-    wtree = (scaled.tree,) + (pad,) * (p.N - 1)
-    return _finalize(p, DyadicWeight(p.N, wtree), apply_S(pair.E),
-                     DomainPoint(float(pair.target.x) / p.N, p.Q, 1.0),
+    w, E = _push_down(p, pair.w, pair.E, _unit(p, pair, "apply_T"))
+    return _finalize(p, w, E, DomainPoint(float(pair.target.x) / p.N, p.Q, 1.0),
                      pair.truncation_depth)
 
 
 def build_corner(p: Params, k: int, exact: bool = False) -> ExtremalPair:
-    """k-fold apply_T of boundary_weight(Q): stats (N^-k, Q, 1, Q, Q*eta^k)."""
+    """k-fold apply_T of boundary_weight(Q): stats (N^-k, Q, 1, Q, Q*eta^k).
+
+    The pair is checked once, at the end: the characteristic is a maximum
+    over subtrees and f(x/N) = eta*f(x), so the last check covers the
+    pairs of the intermediate steps.
+    """
     if p.degenerate:
         raise DegenerateParamsError("corner pairs need Q > 1")
     if not 0 <= k <= CORNER_K_MAX:
         raise DomainError(f"corner index k = {k} outside [0, {CORNER_K_MAX}]")
-    pair = boundary_weight(p, p.Q, exact=exact)
+    one = Fraction(1) if exact else 1.0
+    w, E = DyadicWeight(p.N, _boundary_tree(p, p.Q, one)), DyadicSet(p.N, True)
+    x = 1.0
     for _ in range(k):
-        pair = apply_T(p, pair, exact=exact)
-    return pair
+        w, E = _push_down(p, w, E, one)
+        x /= p.N
+    return _finalize(p, w, E, DomainPoint(x, p.Q, 1.0), 0)
 
 
 def _binary_digits(lam: Fraction, depth: int) -> tuple[list[int], Fraction]:
@@ -148,7 +165,7 @@ def _binary_digits(lam: Fraction, depth: int) -> tuple[list[int], Fraction]:
 
 
 def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
-                depth: int, exact: bool = False) -> ExtremalPair:
+                depth: int) -> ExtremalPair:
     """Mix pair0 and pair1 with weights (1-lam, lam), truncated binary digits.
 
     Stage j copies pair_{b_j} into the first N/2 children and continues
@@ -162,10 +179,7 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
     if not 1 <= depth <= CONCAT_DIGITS_MAX:
         raise DomainError(f"digit count {depth} outside [1, {CONCAT_DIGITS_MAX}]")
     for pair in (pair0, pair1):
-        if pair.w.n != p.N:
-            raise DomainError("pair fan-out does not match params")
-        if pair.achieved.m != 1 or float(pair.achieved.char) > p.Q + 1e-9:
-            raise DomainError("concatenate inputs must have m = 1 and char <= Q")
+        one = _unit(p, pair, "concatenate")     # exact when the inputs are
 
     x0, y0 = float(pair0.achieved.x), float(pair0.achieved.y)
     x1, y1 = float(pair1.achieved.x), float(pair1.achieved.y)
@@ -174,11 +188,11 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
 
     if lamf == 1:
         # terminating expansion would be 0.111...; take the pair itself
-        return ExtremalPair(pair1.w, pair1.E, target, pair1.achieved, depth)
+        return replace(pair1, target=target, truncation_depth=depth)
 
     bits, _ = _binary_digits(lamf, depth)
     half = p.N // 2
-    wcur = Fraction(1) if exact else 1.0
+    wcur = one
     scur = False
     for b in reversed(bits):
         src = pair1 if b else pair0
@@ -205,7 +219,7 @@ def _pair_on_q_edge(p: Params, u: float, depth: int, exact: bool) -> ExtremalPai
         raise DomainError(f"set fraction {u!r} needs corner index beyond cap")
     mu = (s - 1 / p.N) / (1 - 1 / p.N)
     return concatenate(p, mu, build_corner(p, k + 1, exact=exact),
-                       build_corner(p, k, exact=exact), depth, exact=exact)
+                       build_corner(p, k, exact=exact), depth)
 
 
 def build_extremizer(p: Params, x: float, y: float, depth: int,
@@ -228,9 +242,9 @@ def build_extremizer(p: Params, x: float, y: float, depth: int,
     if x == 0:
         # all the average, none of the set: M(0, y) = 0
         bw = boundary_weight(p, y, exact=exact)
-        return ExtremalPair(bw.w, DyadicSet(p.N, False),
-                            DomainPoint(0.0, y, 1.0),
-                            stats(bw.w, DyadicSet(p.N, False)), depth)
+        empty = DyadicSet(p.N, False)
+        return replace(bw, E=empty, target=DomainPoint(0.0, y, 1.0),
+                       achieved=stats(bw.w, empty), truncation_depth=depth)
 
     one = Fraction(1) if exact else 1.0
     trivial = ExtremalPair(
@@ -240,15 +254,11 @@ def build_extremizer(p: Params, x: float, y: float, depth: int,
 
     if y <= 1 + (p.Q - 1) * x + BOUNDARY_TOL:
         yprime = min(1 + (y - 1) / x, p.Q)
-        return_pair = concatenate(p, x, trivial,
-                                  boundary_weight(p, yprime, exact=exact),
-                                  depth, exact=exact)
-        return ExtremalPair(return_pair.w, return_pair.E,
-                            DomainPoint(x, y, 1.0), return_pair.achieved, depth)
-
-    lam = (y - 1) / (p.Q - 1)
-    u = min(x * (p.Q - 1) / (y - 1), 1.0)
-    edge = _pair_on_q_edge(p, u, _inner_digits(p, depth), exact)
-    out = concatenate(p, lam, trivial, edge, depth, exact=exact)
-    return ExtremalPair(out.w, out.E, DomainPoint(x, y, 1.0),
-                        out.achieved, depth)
+        out = concatenate(p, x, trivial, boundary_weight(p, yprime, exact=exact),
+                          depth)
+    else:
+        lam = (y - 1) / (p.Q - 1)
+        u = min(x * (p.Q - 1) / (y - 1), 1.0)
+        edge = _pair_on_q_edge(p, u, _inner_digits(p, depth), exact)
+        out = concatenate(p, lam, trivial, edge, depth)
+    return replace(out, target=DomainPoint(x, y, 1.0))

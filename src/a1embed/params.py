@@ -32,10 +32,6 @@ class DomainError(ValueError):
     """A point lies outside the domain an operation is defined on."""
 
 
-class NodePointError(ValueError):
-    """A one-sided quantity was requested exactly at a breakpoint."""
-
-
 class DegenerateParamsError(ValueError):
     """Operation undefined for the degenerate bound Q = 1."""
 
@@ -106,7 +102,16 @@ def in_omega_k(p: Params, k: int, x: float, y: float) -> bool:
         raise ValueError(f"k must be >= 0, got {k}")
     if not in_omega(p, x, y):
         return False
-    return y <= 1 + (p.Q - 1) * p.N**k * x + BOUNDARY_TOL
+    return y <= 1 + (p.Q - 1) * node_scale(p, k) * x + BOUNDARY_TOL
+
+
+def node_scale(p: Params, k: int) -> float:
+    """N^k as an exact float; DomainError where it overflows (d*k >= 1024)."""
+    try:
+        return math.ldexp(1.0, p.d * k)
+    except OverflowError:
+        raise DomainError(f"N^{k} = 2^{p.d * k} overflows a float") from None
+
 
 def in_omega_b(p: Params, x: float, y: float, m: float) -> bool:
     """Membership in the unnormalized domain {0 <= x <= 1, 0 < m <= y <= Q m}."""

@@ -31,9 +31,8 @@ from .bellman import _B_vec, _M_vec, _f_vec, _wedge_vec, eval_B
 from .dyadic import (
     DyadicSet,
     DyadicWeight,
+    _summary,
     a1_characteristic,
-    average,
-    ess_inf,
     make_set_node,
     value_distribution,
 )
@@ -382,9 +381,10 @@ def check_weak_type(w: DyadicWeight, p_exp: float,
     weight's own characteristic makes the bound inapplicable, which is
     reported rather than failed.
     """
-    if ess_inf(w) != 1:
+    average, minimum, char = _summary(w.tree, w.n)
+    if minimum != 1:
         raise DomainError("weak-type check needs a weight with min leaf 1")
-    char = float(a1_characteristic(w))
+    char = float(char)
     n = w.n
     if char > 1:
         p_star = math.log(n) / math.log(n - (n - 1) / char)
@@ -396,7 +396,7 @@ def check_weak_type(w: DyadicWeight, p_exp: float,
                            f"{p_star:.6g} for characteristic {char:.6g}")
     dist = value_distribution(w)
     values = sorted(dist, reverse=True)
-    integral = float(average(w))
+    integral = float(average)
     sup = 0.0
     witness = None
     tail = Fraction(0)
@@ -484,7 +484,7 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
 
 
 def brute_force_oracle(p: Params, depth: int, value_grid=None,
-                       x_step=None, max_assignments: int = 2_000_000) -> OracleTable:
+                       max_assignments: int = 2_000_000) -> OracleTable:
     """Exhaustive supremum over leaf assignments of a depth-`depth` tree.
 
     Every leaf takes a value from the grid; assignments whose minimum is
@@ -511,14 +511,6 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None,
     Qf = Fraction(p.Q)
     h = (Qf - 1) / 20 if Qf > 1 else None
     L = Fraction(leaves)
-    if x_step is None:
-        step_int = 1
-    else:
-        s = Fraction(x_step) * leaves
-        if s.denominator != 1 or s <= 0:
-            raise ValueError(f"x_step {x_step!r} must be a positive multiple "
-                             f"of N^-depth")
-        step_int = int(s)
 
     table = OracleTable(depth=depth, n=p.N, grid=tuple(grid))
     one = Fraction(1)
@@ -535,8 +527,6 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None,
         for j0, idx in enumerate(order):
             acc += assignment[idx]
             j = j0 + 1
-            if j % step_int:
-                continue
             key = (Fraction(j, leaves), ylabel)
             val = acc / L
             cur = table.buckets.get(key)
@@ -588,13 +578,16 @@ def oracle_vs_closed_form(table: OracleTable, p: Params,
 
 def _weak_type_suite(p: Params, n_samples: Optional[int] = None, seed: int = 0,
                      tol: float = 1e-9) -> CheckReport:
-    from .extremize import build_corner
+    from .extremize import apply_T, build_corner
     pexp = osekowski_p_max(p)
     worst = math.inf
     witness = None
     total = 0
+    pair = build_corner(p, 0, exact=True)
     for k in range(0, 9):
-        r = check_weak_type(build_corner(p, k, exact=True).w, pexp, tol)
+        if k:
+            pair = apply_T(p, pair)     # corner k from corner k-1, one T step
+        r = check_weak_type(pair.w, pexp, tol)
         total += r.samples
         if r.worst_slack < worst:
             worst, witness = r.worst_slack, {"k": k, "at": r.worst_witness}

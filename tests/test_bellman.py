@@ -8,18 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from a1embed import (
     DomainError,
-    NodePointError,
     classify_point,
     eval_B,
     eval_M,
     eval_f,
     eval_f_smooth,
-    f_slope,
     new_params,
     wedge_Mk,
     wedge_coeffs,
 )
-from a1embed.bellman import _B_vec, _f_vec, _M_vec
+from a1embed.bellman import _B_vec, _f_vec, _M_vec, _wedge_vec
+from a1embed.params import in_omega_k
 
 # independently recomputed at 40 digits
 F_SMOOTH_HALF_10_2 = 9.617692030835672
@@ -64,19 +63,6 @@ def test_profile_monotone(p102):
     xs = np.geomspace(1e-9, 1.0, 2000)
     f = _f_vec(p102, xs)
     assert np.all(np.diff(f) >= -1e-15)
-
-
-def test_slope_reference_values(p102, p21):
-    assert f_slope(p102, 0.5) == 1.0
-    assert f_slope(p102, 0.1) == pytest.approx(3.7, rel=1e-15)
-    assert f_slope(p21, 0.3) == pytest.approx(1.5, rel=1e-15)
-
-
-def test_slope_undefined_at_breakpoints(p102):
-    with pytest.raises(NodePointError):
-        f_slope(p102, 0.25)
-    with pytest.raises(NodePointError):
-        f_slope(p102, 1.0)
 
 
 def test_surface_reference_points(p102):
@@ -160,6 +146,28 @@ def test_wedge_dominates_surface(p102):
         m = np.array([eval_M(p102, a, b) for a, b in zip(x, y)])
         w = np.array([wedge_Mk(p102, k, a, b) for a, b in zip(x, y)])
         assert np.all(w >= m - 1e-9)
+
+
+WEDGE_CALLS = {
+    "wedge_coeffs": lambda p, k: wedge_coeffs(p, k),
+    "in_omega_k": lambda p, k: in_omega_k(p, k, 0.5, 1.0),
+    "wedge_Mk": lambda p, k: wedge_Mk(p, k, 0.5, 1.0),
+    "_wedge_vec": lambda p, k: _wedge_vec(p, k, np.array([0.5]), np.array([1.0])),
+}
+
+
+@pytest.mark.parametrize("Q, d, k", [(10.0, 20, 60), (10.0, 10, 200),
+                                     (1.0001, 20, 60)])
+@pytest.mark.parametrize("name", sorted(WEDGE_CALLS))
+def test_wedge_overflow_is_a_domain_error(name, Q, d, k):
+    # (N eta)^k or N^k beyond the float range: a typed error, not OverflowError;
+    # at Q = 1.0001 the slope (N eta)^60 is finite and only N^60 overflows
+    p = new_params(Q, d)
+    if name == "wedge_coeffs" and Q < 2:
+        assert math.isfinite(wedge_coeffs(p, k).a)
+        return
+    with pytest.raises(DomainError, match="overflows a float"):
+        WEDGE_CALLS[name](p, k)
 
 
 def test_vectorized_matches_scalar(p102):

@@ -212,6 +212,28 @@ def test_validation_walks_shared_nodes_once(monkeypatch):
         validate_weight(w, max_depth=15)
 
 
+def test_fold_visits_each_leaf_object_once():
+    # the N-1 padding leaves of every push-down level are one shared object,
+    # summarized once; scaling keeps them shared, so a corner at d=10 has
+    # k+2 distinct leaves (k pads, the boundary pad and the heavy leaf)
+    p = new_params(10.0, 10)
+    for k in (0, 1, 4):
+        w = build_corner(p, k, exact=True).w
+        calls = []
+        dyadic._fold(w.tree, lambda v: calls.append(v) or v, tuple)
+        distinct = set()
+
+        def walk(node):
+            if isinstance(node, tuple):
+                for c in node:
+                    walk(c)
+            else:
+                distinct.add(id(node))
+
+        walk(w.tree)
+        assert len(calls) == len(distinct) == k + 2
+
+
 def test_tree_depth():
     assert tree_depth(DyadicWeight(2, 1.0)) == 0
     assert tree_depth(DyadicWeight(2, (1.0, (2.0, 3.0)))) == 2

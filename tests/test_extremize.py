@@ -13,6 +13,7 @@ from a1embed import (
     DegenerateParamsError,
     DomainError,
     DyadicSet,
+    DyadicWeight,
     InvariantError,
     apply_S,
     apply_T,
@@ -42,7 +43,7 @@ def test_boundary_rejects_bad_average(p102):
 
 
 def test_apply_T_reaches_first_corner(p102):
-    pair = apply_T(p102, boundary_weight(p102, 10.0, exact=True), exact=True)
+    pair = apply_T(p102, boundary_weight(p102, 10.0, exact=True))
     a = pair.achieved
     assert a.x == Fraction(1, 4)
     assert a.value == Fraction(37, 4)
@@ -73,6 +74,67 @@ def test_corner_iteration_exact(p102):
         assert a.value == 10 * eta**k
     assert build_corner(p102, 3, exact=True).achieved.value == Fraction(50653, 6400)
     assert float(Fraction(50653, 6400)) == 7.91453125
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_corner_is_the_k_fold_T_chain(d, exact):
+    # one T step per corner: build_corner(k) is apply_T applied k times,
+    # tree for tree (==) and statistic for statistic, in either arithmetic
+    p = new_params(10.0, d)
+    pair = boundary_weight(p, p.Q, exact=exact)
+    assert pair == build_corner(p, 0, exact=exact)
+    for k in range(1, 9):
+        pair = apply_T(p, pair)
+        corner = build_corner(p, k, exact=exact)
+        assert corner.w == pair.w and corner.E == pair.E
+        assert corner.achieved == pair.achieved
+        assert (corner.target, corner.truncation_depth) == (pair.target, 0)
+        assert isinstance(corner.achieved.value, Fraction) == exact
+
+
+def test_corner_checks_once(p102, monkeypatch):
+    import a1embed.extremize as ex
+
+    calls = []
+    monkeypatch.setattr(ex, "stats", lambda w, E: calls.append(1) or stats(w, E))
+    for k in (0, 1, 8, 32):
+        for exact in (False, True):
+            calls.clear()
+            build_corner(p102, k, exact=exact)
+            assert len(calls) == 1, (k, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_corner_check_catches_a_faulty_step(p102, monkeypatch, k, exact):
+    # the heavy leaf doubled in the first push-down only: the one final
+    # check must still see it, since the characteristic is a max over subtrees
+    import a1embed.extremize as ex
+
+    real = ex.scale_weight
+    seen = []
+
+    def faulty(w, c):
+        out = real(w, c)
+        if seen:
+            return out
+        seen.append(1)
+        return DyadicWeight(out.n, out.tree[:-1] + (2 * out.tree[-1],))
+
+    monkeypatch.setattr(ex, "scale_weight", faulty)
+    with pytest.raises(InvariantError):
+        build_corner(p102, k, exact=exact)
+    assert seen
+
+
+def test_apply_T_and_concatenate_take_exactness_from_inputs(p102):
+    exact, flt = build_corner(p102, 1, exact=True), build_corner(p102, 1)
+    assert isinstance(apply_T(p102, exact).w.tree[1], Fraction)
+    assert isinstance(apply_T(p102, flt).w.tree[1], float)
+    mix = concatenate(p102, 0.5, build_corner(p102, 2, exact=True), exact, 4)
+    assert isinstance(mix.achieved.value, Fraction)
+    assert isinstance(concatenate(p102, 0.5, flt, flt, 4).achieved.value, float)
 
 
 def test_corner_matches_surface(p102):

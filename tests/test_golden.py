@@ -40,6 +40,7 @@ CASES = [
     ["oracle", "--Q", "3", "--d", "2", "--depth", "1", "--grid", "4",
      "--format", "json"],
     ["verify", "--Q", "10", "--d", "2", "--suite", "weak-type"],
+    ["verify", "--Q", "10", "--d", "6", "--suite", "weak-type"],
 ] + [
     # 70000 samples: partial chunks, several strata and wedges per sampler
     ["verify", "--Q", Q, "--d", d, "--suite", "all", "--format", "json",
@@ -94,6 +95,8 @@ GOLDEN = {
         "601c3098916a92e64ef22afce2d0d2d32de60203d3f615c0b1a8a1cb4f690597",
     "verify --Q 10 --d 2 --suite weak-type":
         "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
+    "verify --Q 10 --d 6 --suite weak-type":
+        "b3c3960dbe12c75fb1e3f5f44691b45a34504f58f0a2efc372de3f19ec8ba1d6",
     "verify --Q 10 --d 2 --suite all --format json --seed 7 --samples 70000":
         "4076826d080d1a1241d4b1b3d53f28f85cf64cf49a93be6ca748c8fe2365e28c",
     "verify --Q 5 --d 3 --suite all --format json --seed 7 --samples 70000":

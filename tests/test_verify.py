@@ -145,6 +145,22 @@ def test_weak_type_needs_unit_minimum():
         check_weak_type(DyadicWeight(4, (2.0, 2.0, 2.0, 2.0)), 1.05)
 
 
+def test_weak_type_suite_walks_one_corner_chain(p102, monkeypatch):
+    # corners k = 0..8 as one chain: 8 T steps and 9 checked pairs,
+    # not a fresh build_corner(k) per k
+    import a1embed.extremize as ex
+
+    steps, checks = [], []
+    real_T, real_stats = ex.apply_T, ex.stats
+    monkeypatch.setattr(ex, "apply_T", lambda p, pair: steps.append(1)
+                        or real_T(p, pair))
+    monkeypatch.setattr(ex, "stats", lambda w, E: checks.append(1)
+                        or real_stats(w, E))
+    r = verify._weak_type_suite(p102)
+    assert r.passed and r.samples > 0
+    assert (len(steps), len(checks)) == (8, 9)
+
+
 def test_oracle_depth_one(p21):
     table = brute_force_oracle(p21, 1)
     key = (Fraction(1, 2), Fraction(2))
@@ -189,11 +205,6 @@ def test_oracle_size_cap(p21):
     grid = default_value_grid(p21, 2)
     with pytest.raises(ValueError):
         brute_force_oracle(p21, 2, value_grid=grid, max_assignments=10)
-
-
-def test_oracle_x_step_validation(p21):
-    with pytest.raises(ValueError):
-        brute_force_oracle(p21, 2, x_step=Fraction(1, 3))
 
 
 def test_oracle_serialization(p21):
