@@ -8,10 +8,10 @@ Three kinds of evidence, none of which trusts the formulas being tested:
   * property suites: concavity, rescaling monotonicity, the smooth
     majorant, branch continuity, homogeneity, wedge domination, and
     the weak-type bound on explicit weights;
-  * a brute-force oracle that enumerates every leaf assignment of a
-    small dyadic tree over a finite value grid and tabulates the best
-    captured mass per (set measure, average) bucket, in exact rational
-    arithmetic.
+  * a brute-force oracle that enumerates every grid-valued weight of
+    characteristic <= Q on a small dyadic tree, pruned level by level,
+    and tabulates the best captured mass per (set measure, average)
+    bucket, in exact rational arithmetic.
 
 Randomness is counter-based (Philox keyed by (seed, stream)) over a
 fixed chunk plan, so a report depends only on its arguments.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
@@ -32,7 +32,6 @@ from .dyadic import (
     DyadicSet,
     DyadicWeight,
     _summary,
-    a1_characteristic,
     make_set_node,
     value_distribution,
 )
@@ -41,6 +40,7 @@ from .params import DomainError, Params, osekowski_p_max
 CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
 MAX_WAVES = 4096
+ORACLE_CAP = 2_000_000  # oracle leaves N^depth, and combinations per level
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,7 @@ class CheckReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "samples": self.samples,
-            "worst_slack": self.worst_slack,
-            "worst_witness": self.worst_witness,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _report(suite: str, samples: int, slack: float, witness, tol: float,
@@ -439,8 +432,7 @@ class OracleTable:
 
     def to_json(self) -> dict:
         rows = []
-        for (x, y) in sorted(self.buckets):
-            b = self.buckets[(x, y)]
+        for (x, y), b in sorted(self.buckets.items()):
             rows.append({"x": float(x), "y": float(y), "m": 1.0,
                          "value": float(b.value),
                          "leaves": [float(v) for v in b.leaves], "j": b.j})
@@ -449,8 +441,7 @@ class OracleTable:
 
     def to_csv(self) -> str:
         lines = ["x,y,m,value,witness_id"]
-        for wid, (x, y) in enumerate(sorted(self.buckets)):
-            b = self.buckets[(x, y)]
+        for wid, ((x, y), b) in enumerate(sorted(self.buckets.items())):
             lines.append(f"{float(x):.17g},{float(y):.17g},1,"
                          f"{float(b.value):.17g},{wid}")
         return "\n".join(lines) + "\n"
@@ -459,76 +450,92 @@ class OracleTable:
 def _nest(flat: tuple, n: int, is_set: bool = False):
     """Fold a flat leaf tuple into a uniform n-ary tree."""
     level: tuple = flat
+    node = make_set_node if is_set else tuple
     while len(level) > 1:
-        grouped = tuple(level[i:i + n] for i in range(0, len(level), n))
-        if is_set:
-            level = tuple(make_set_node(g) for g in grouped)
-        else:
-            level = grouped
+        level = tuple(node(level[i:i + n]) for i in range(0, len(level), n))
     return level[0]
+
+
+def _corner_values(p: Params, k: int) -> set:
+    """Leaves of the corner-k tree: (N eta)^a for a < k and (N eta)^(k-1)
+    times heavy = 1 + N(Q-1); corner 0 needs corner 1's {1, heavy}."""
+    Qf = Fraction(p.Q)
+    step = p.N - Fraction(p.N - 1) / Qf      # N*eta, exact
+    k = max(k, 1)
+    return {step**a for a in range(k)} | {step**(k - 1) * (1 + p.N * (Qf - 1))}
+
+
+def _cap(base: int, exp: int, what: str) -> None:
+    """Refuse base**exp > ORACLE_CAP without building the power."""
+    total = 1
+    for _ in range(exp):
+        total *= base
+        if total > ORACLE_CAP:
+            raise DomainError(f"{base}^{exp} {what} exceed the oracle cap "
+                              f"{ORACLE_CAP}; shrink depth or the grid")
+
+
+def _check_depth(p: Params, depth: int) -> None:
+    if depth < 1:
+        raise DomainError(f"oracle needs depth >= 1, got {depth}")
+    _cap(p.N, depth, "leaves")
 
 
 def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fraction]:
     """{1}, an even ladder to 1 + N(Q-1), and the corner-construction values."""
-    Qf = Fraction(p.Q)
-    vals = {Fraction(1)}
-    if Qf > 1:
-        for j in range(1, grid_size):
-            vals.add(1 + Fraction(j) * (Qf - 1) * p.N / (grid_size - 1))
-        step = p.N - Fraction(p.N - 1) / Qf      # N*eta, exact
-        heavy = 1 + p.N * (Qf - 1)
-        for a in range(depth):
-            vals.add(step**a)
-            vals.add(step**a * heavy)
-    return sorted(vals)
+    _check_depth(p, depth)
+    ladder = {1 + j * (Fraction(p.Q) - 1) * p.N / Fraction(grid_size - 1)
+              for j in range(1, grid_size)}
+    return sorted(ladder.union({Fraction(1)}, *(_corner_values(p, k)
+                                                for k in range(1, depth + 1))))
 
 
-def brute_force_oracle(p: Params, depth: int, value_grid=None,
-                       max_assignments: int = 2_000_000) -> OracleTable:
-    """Exhaustive supremum over leaf assignments of a depth-`depth` tree.
+def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
+    """Exhaustive supremum over grid-valued weights on a depth-`depth` tree.
 
-    Every leaf takes a value from the grid; assignments whose minimum is
-    not 1 or whose characteristic exceeds Q are discarded; for each kept
+    Trees grow level by level from (leaves, sum, min) triples, a node kept
+    only when sum <= Q * leaves * min (the characteristic is the largest
+    average/minimum over nodes); the root level, in the order of
+    itertools.product(grid, repeat=N^depth), keeps minimum 1.  For each
     weight the best set of measure j/N^depth is the j heaviest leaves.
     Buckets key on (set measure, average rounded UP to a step of
-    0.05(Q-1)); rounding up keeps bucket values below the closed form
-    evaluated at the bucket label.  Exact rational arithmetic throughout.
-
-    Feasible envelope: |grid|^(N^depth) <= max_assignments; think d=1,
-    depth <= 2, |grid| <= 12, or depth 3 with a handful of values.
+    0.05(Q-1)), which keeps bucket values below the closed form at the
+    bucket label.  Exact rationals throughout.  Needs depth >= 1;
+    ORACLE_CAP bounds N^depth and the combinations each level tries.
     """
+    _check_depth(p, depth)
     if value_grid is None:
         value_grid = default_value_grid(p, depth)
     grid = sorted({Fraction(v) for v in value_grid})
     if Fraction(1) not in grid or any(v < 1 for v in grid):
         raise ValueError("value grid must contain 1 and only values >= 1")
-    leaves = p.N**depth
-    count = len(grid)**leaves
-    if count > max_assignments:
-        raise ValueError(
-            f"{len(grid)}^{leaves} = {count} assignments exceed the cap "
-            f"{max_assignments}; shrink depth or the grid")
     Qf = Fraction(p.Q)
-    h = (Qf - 1) / 20 if Qf > 1 else None
-    L = Fraction(leaves)
+    level = [((v,), v, v) for v in grid]
+    for lv in range(1, depth + 1):
+        _cap(len(level), p.N, f"combinations at level {lv}")
+        bound = Qf * p.N**lv
+        level = ((sum((c[0] for c in kids), ()), s, m)
+                 for kids in itertools.product(level, repeat=p.N)
+                 for s, m in [(sum(c[1] for c in kids),
+                               min(c[2] for c in kids))]
+                 if s <= bound * m)
+        if lv < depth:      # the root streams, reading the last bound
+            level = list(level)
 
+    leaves = p.N**depth
+    h = (Qf - 1) / 20 if Qf > 1 else None
     table = OracleTable(depth=depth, n=p.N, grid=tuple(grid))
     one = Fraction(1)
-    for assignment in itertools.product(grid, repeat=leaves):
-        if min(assignment) != one:
+    for assignment, total, low in level:
+        if low != one:
             continue
-        w = DyadicWeight(p.N, _nest(assignment, p.N))
-        if a1_characteristic(w) > Qf:
-            continue
-        y = sum(assignment) / L
+        y = total / leaves
         ylabel = one if h is None or y == 1 else 1 + math.ceil((y - 1) / h) * h
-        order = sorted(range(leaves), key=lambda i: (-assignment[i], i))
         acc = Fraction(0)
-        for j0, idx in enumerate(order):
-            acc += assignment[idx]
-            j = j0 + 1
+        for j, v in enumerate(sorted(assignment, reverse=True), 1):
+            acc += v
             key = (Fraction(j, leaves), ylabel)
-            val = acc / L
+            val = acc / leaves
             cur = table.buckets.get(key)
             if cur is None or val > cur.value:
                 table.buckets[key] = OracleBucket(val, assignment, j)
@@ -549,16 +556,9 @@ def oracle_vs_closed_form(table: OracleTable, p: Params,
     corners = 0
     if p.Q > 1:
         Qf = Fraction(p.Q)
-        step = p.N - Fraction(p.N - 1) / Qf
-        heavy = 1 + p.N * (Qf - 1)
         eta = 1 - Fraction(p.N - 1) / (p.N * Qf)
-        gridset = set(table.grid)
         for k in range(0, table.depth + 1):
-            if k == 0:
-                needed = {Fraction(1), heavy}
-            else:
-                needed = {step**a for a in range(k)} | {step**(k - 1) * heavy}
-            if not needed <= gridset:
+            if not _corner_values(p, k) <= set(table.grid):
                 continue
             key = (Fraction(1, p.N**k), Qf)
             target = Qf * eta**k
@@ -612,16 +612,15 @@ SUITES: dict[str, Callable[..., CheckReport]] = {
 
 def run_suite(p: Params, name: str, n_samples: Optional[int] = None,
               seed: int = 0, tol: Optional[float] = None) -> list[CheckReport]:
+    if n_samples is not None and n_samples < 1:
+        raise DomainError(f"suites need n_samples >= 1, got {n_samples}")
     names = list(SUITES) if name == "all" else [name]
     out = []
     for nm in names:
         if nm not in SUITES:
             raise ValueError(f"unknown suite {nm!r}; choose from "
                              f"{', '.join(SUITES)} or 'all'")
-        kw: dict[str, Any] = {"seed": seed}
-        if n_samples is not None:
-            kw["n_samples"] = n_samples
-        if tol is not None:
-            kw["tol"] = tol
-        out.append(SUITES[nm](p, **kw))
+        kw = {k: v for k, v in (("n_samples", n_samples), ("tol", tol))
+              if v is not None}
+        out.append(SUITES[nm](p, seed=seed, **kw))
     return out

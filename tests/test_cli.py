@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end (in-process)."""
 
 import json
+import time
 
 import pytest
 
@@ -180,6 +181,31 @@ def test_oracle_json(capsys):
     assert doc["depth"] == 1
     assert doc["bridge"]["passed"] is True
     assert "oracle-vs-closed-form: PASS" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_oracle_depth_below_one(capsys, depth):
+    rc, out, err = run(capsys, "oracle", "--Q", "2", "--d", "1", "--depth",
+                       depth)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: oracle needs depth >= 1, got {depth}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--Q", "2", "--d", "4", "--depth", "4"),     # 10^16 pairs at level 1
+    ("--Q", "2", "--d", "10", "--depth", "3"),    # 2^30 leaves
+    ("--Q", "1", "--d", "1", "--depth", "40"),    # one value, 2^40 leaves
+    ("--Q", "2", "--d", "1", "--depth", "3000"),  # refused before the grid
+], ids=" ".join)
+def test_oracle_size_refusal_is_fast(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "oracle", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceed the oracle cap" in err
+    assert len(err) < 200
 
 
 def test_missing_required_flag():

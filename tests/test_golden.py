@@ -2,9 +2,9 @@
 
 Each case runs `a1embed` in-process and hashes its exit code, stdout and
 stderr.  The hashes pin the JSON of shallow and deep extremal pairs (float
-and exact leaves, five dimensions, both branches), the oracle's JSON table
-and every verify suite, so a refactor of the tree, JSON or sampling code
-that moves a single byte fails here.  A change that alters an output on
+and exact leaves, five dimensions, both branches), the oracle's JSON and
+CSV tables (Q = 1 included) and every verify suite, so a refactor of the
+tree, JSON, sampling or oracle code that moves a single byte fails here.  A change that alters an output on
 purpose updates the hash and says why.
 """
 
@@ -39,6 +39,9 @@ CASES = [
     ["oracle", "--Q", "2", "--d", "1", "--depth", "2", "--format", "json"],
     ["oracle", "--Q", "3", "--d", "2", "--depth", "1", "--grid", "4",
      "--format", "json"],
+    ["oracle", "--Q", "2", "--d", "1", "--depth", "2"],
+    ["oracle", "--Q", "10", "--d", "2", "--depth", "1"],
+    ["oracle", "--Q", "1", "--d", "2", "--depth", "2", "--format", "json"],
     ["verify", "--Q", "10", "--d", "2", "--suite", "weak-type"],
     ["verify", "--Q", "10", "--d", "6", "--suite", "weak-type"],
 ] + [
@@ -93,6 +96,12 @@ GOLDEN = {
         "0f5da43b8d6bc3c2ebaa284de1fbf74a7c2a2c5eaae99ca28d6c0148bb0c3e3e",
     "oracle --Q 3 --d 2 --depth 1 --grid 4 --format json":
         "601c3098916a92e64ef22afce2d0d2d32de60203d3f615c0b1a8a1cb4f690597",
+    "oracle --Q 2 --d 1 --depth 2":
+        "b92b35a741b570d92ace19c4a9b4b261cdaaa5e747baed3cfdb50220781e4642",
+    "oracle --Q 10 --d 2 --depth 1":
+        "31736452190bf9cecb0ba525abaaddf2385453c094594eb4d138c2bf493f9b2d",
+    "oracle --Q 1 --d 2 --depth 2 --format json":
+        "84bbb86ebcc4383b5d890667b37f45c62022c602bb5e63c6a480329368e2d0cb",
     "verify --Q 10 --d 2 --suite weak-type":
         "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
     "verify --Q 10 --d 6 --suite weak-type":

@@ -1,0 +1,90 @@
+"""The oracle against a plain enumeration of every leaf assignment.
+
+`reference_oracle` is the oracle written the direct way: every assignment
+in `itertools.product(grid, repeat=N**depth)` order, folded into a tree,
+kept when its minimum is 1 and its A1 characteristic (from `dyadic`) is at
+most Q, and tabulated with the j heaviest leaves as the set (ties to the
+lower index).  `brute_force_oracle` builds admissible subtrees level by
+level instead; the two must agree on every bucket, witness and output.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+
+from a1embed import DyadicWeight, a1_characteristic, new_params
+from a1embed.verify import (
+    OracleBucket,
+    OracleTable,
+    _nest,
+    brute_force_oracle,
+    default_value_grid,
+    oracle_vs_closed_form,
+)
+
+
+def reference_oracle(p, depth, grid) -> OracleTable:
+    grid = sorted({Fraction(v) for v in grid})
+    leaves = p.N**depth
+    Qf = Fraction(p.Q)
+    h = (Qf - 1) / 20 if Qf > 1 else None
+    L = Fraction(leaves)
+    table = OracleTable(depth=depth, n=p.N, grid=tuple(grid))
+    one = Fraction(1)
+    for assignment in itertools.product(grid, repeat=leaves):
+        if min(assignment) != one:
+            continue
+        w = DyadicWeight(p.N, _nest(assignment, p.N))
+        if a1_characteristic(w) > Qf:
+            continue
+        y = sum(assignment) / L
+        ylabel = one if h is None or y == 1 else 1 + math.ceil((y - 1) / h) * h
+        order = sorted(range(leaves), key=lambda i: (-assignment[i], i))
+        acc = Fraction(0)
+        for j0, idx in enumerate(order):
+            acc += assignment[idx]
+            j = j0 + 1
+            key = (Fraction(j, leaves), ylabel)
+            val = acc / L
+            cur = table.buckets.get(key)
+            if cur is None or val > cur.value:
+                table.buckets[key] = OracleBucket(val, assignment, j)
+    return table
+
+
+F = Fraction
+CONFIGS = [
+    # (Q, d, depth, grid: an int is default_value_grid's grid_size), size
+    (2, 1, 2, 6, 8),
+    (3, 1, 2, 6, 8),
+    (2, 2, 1, 6, 6),
+    (10, 2, 1, 6, 6),
+    (3, 2, 1, 4, 4),
+    (2, 1, 3, (F(1), F(3, 2), F(3)), 3),        # 1, N eta, 1 + N(Q-1)
+    (1.5, 1, 3, (F(1), F(4, 3), F(2)), 3),
+    (1, 1, 2, 6, 1),
+    (1, 2, 2, 6, 1),
+    (2, 1, 1, (F(1), F(3)), 2),
+]
+
+
+@pytest.mark.parametrize("Q,d,depth,spec,size", CONFIGS,
+                         ids=[f"Q{c[0]}-d{c[1]}-depth{c[2]}-grid{c[4]}"
+                              for c in CONFIGS])
+def test_oracle_matches_reference_enumeration(Q, d, depth, spec, size):
+    p = new_params(Q, d)
+    grid = (default_value_grid(p, depth, spec) if isinstance(spec, int)
+            else list(spec))
+    assert len(grid) == size
+    got = brute_force_oracle(p, depth, grid)
+    want = reference_oracle(p, depth, grid)
+    assert got.grid == want.grid
+    assert sorted(got.buckets) == sorted(want.buckets)
+    for key, b in want.buckets.items():
+        assert got.buckets[key] == b            # value, witness leaves and j
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+    assert (oracle_vs_closed_form(got, p).to_json()
+            == oracle_vs_closed_form(want, p).to_json())

@@ -113,6 +113,16 @@ def test_run_suite_single_and_all(p102):
     assert {r.suite for r in reports} >= {"concavity", "weak-type", "wedge"}
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("name", list(SUITES))
+def test_run_suite_refuses_no_samples(p102, name, samples):
+    with pytest.raises(DomainError, match="n_samples >= 1"):
+        run_suite(p102, name, samples)
+    argv = ["verify", "--Q", "10", "--d", "2", "--suite", name, "--samples",
+            str(samples)]
+    assert main(argv) == 2
+
+
 def test_run_suite_unknown_name(p102):
     with pytest.raises(ValueError):
         run_suite(p102, "no-such-suite")
@@ -201,10 +211,31 @@ def test_oracle_grid_validation(p21):
         brute_force_oracle(p21, 1, value_grid=[Fraction(1), Fraction(1, 2)])
 
 
-def test_oracle_size_cap(p21):
+def test_oracle_size_cap(p21, monkeypatch):
     grid = default_value_grid(p21, 2)
-    with pytest.raises(ValueError):
-        brute_force_oracle(p21, 2, value_grid=grid, max_assignments=10)
+    monkeypatch.setattr(verify, "ORACLE_CAP", 10)
+    with pytest.raises(DomainError, match="8\\^2 combinations at level 1 "
+                                          "exceed the oracle cap 10"):
+        brute_force_oracle(p21, 2, value_grid=grid)
+    with pytest.raises(DomainError, match="2\\^4 leaves exceed the oracle cap"):
+        brute_force_oracle(p21, 4, value_grid=[1])
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_oracle_needs_depth_one(p21, depth):
+    with pytest.raises(DomainError, match="depth >= 1"):
+        brute_force_oracle(p21, depth, value_grid=[1])
+    with pytest.raises(DomainError, match="depth >= 1"):
+        default_value_grid(p21, depth)
+
+
+def test_oracle_folds_no_tree_per_assignment(p21, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle built a DyadicWeight")
+
+    want = brute_force_oracle(p21, 2).to_json()
+    monkeypatch.setattr(verify, "DyadicWeight", refuse)
+    assert brute_force_oracle(p21, 2).to_json() == want
 
 
 def test_oracle_serialization(p21):
