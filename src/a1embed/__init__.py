@@ -16,7 +16,6 @@ from .params import (
     Params,
     in_omega,
     in_omega_b,
-    in_omega_k,
     new_params,
     osekowski_p_max,
 )

@@ -33,7 +33,6 @@ from .params import (
     Params,
     in_omega,
     in_omega_b,
-    in_omega_k,
     node_scale,
 )
 
@@ -41,17 +40,16 @@ from .params import (
 def _interval_index(p: Params, x: float) -> tuple[int, float]:
     """Return (k, s) with s = x N^k in (1/N, 1], i.e. x in (N^-(k+1), N^-k].
 
-    The scaling is by powers of two only, hence exact; breakpoints land
-    exactly at s = 1.
+    frexp gives x = m 2^e with m in [1/2, 1), so k = max(0, floor(-e/d))
+    puts s in [1/N, 1) for 0 < x < 1, and s = 1 at x = 1; only s = 1/N, a
+    breakpoint, takes one step up.  The scaling is by powers of two only,
+    hence exact; breakpoints land exactly at s = 1.
     """
-    m, e = math.frexp(x)
+    _, e = math.frexp(x)
     k = max(0, (-e) // p.d)
     s = math.ldexp(x, p.d * k)
-    while s <= 1.0 / p.N:
+    if s <= 1.0 / p.N:
         k += 1
-        s = math.ldexp(x, p.d * k)
-    while s > 1.0 and k > 0:
-        k -= 1
         s = math.ldexp(x, p.d * k)
     return k, s
 
@@ -98,7 +96,8 @@ class BranchInfo:
         return f"upper branch, {tag}"
 
 
-def _on_lower_branch(p: Params, x: float, y: float) -> bool:
+def _on_lower_branch(p: Params, x, y):
+    """y <= 1 + (Q-1)x, up to BOUNDARY_TOL; elementwise on arrays."""
     return y <= 1 + (p.Q - 1) * x + BOUNDARY_TOL
 
 
@@ -169,15 +168,13 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
     The planes cross on the line y = 1 + (Q-1) N^k x, so the wedge takes
     plane k-1 inside that region and plane k outside it; this keeps the
     wedge continuous and everywhere >= M.  k = 0 is the single plane
-    x + (y - 1).
+    x + (y - 1).  The checked scalar face of _wedge_vec.
     """
     if not in_omega(p, x, y):
         raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
-    if k == 0:
-        return x + (y - 1)
-    j = k - 1 if in_omega_k(p, k, x, y) else k
-    c = wedge_coeffs(p, j)
-    return c.a * x + c.b * (y - 1)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return float(_wedge_vec(p, k, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +191,30 @@ def _f_vec(p: Params, x: np.ndarray) -> np.ndarray:
     _, e = np.frexp(xp)
     k = np.maximum(0, -(e.astype(np.int64)) // p.d)
     s = np.ldexp(xp, (p.d * k).astype(np.int32))
-    low = s <= 1.0 / p.N
+    low = s <= 1.0 / p.N        # the one up-step of _interval_index
     if low.any():
         k = np.where(low, k + 1, k)
-        s = np.ldexp(xp, (p.d * k).astype(np.int32))
-    high = (s > 1.0) & (k > 0)
-    if high.any():
-        k = np.where(high, k - 1, k)
         s = np.ldexp(xp, (p.d * k).astype(np.int32))
     out[pos] = np.power(p.eta, k) * (p.Q - 1 + s)
     np.minimum(out, p.Q, out=out)
     return out
 
 
+def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The upper branch ((y-1)/(Q-1)) f(min(x (Q-1)/(y-1), 1))."""
+    u = np.minimum(x * (p.Q - 1) / (y - 1), 1.0)
+    return (y - 1) / (p.Q - 1) * _f_vec(p, u)
+
+
 def _M_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lower = y <= 1 + (p.Q - 1) * x + BOUNDARY_TOL
+    lower = _on_lower_branch(p, x, y)
     out = np.empty_like(x)
     out[lower] = x[lower] + y[lower] - 1
     up = ~lower
     if up.any():
-        u = np.minimum(x[up] * (p.Q - 1) / (y[up] - 1), 1.0)
-        out[up] = (y[up] - 1) / (p.Q - 1) * _f_vec(p, u)
+        out[up] = _upper_vec(p, x[up], y[up])
     return out
 
 

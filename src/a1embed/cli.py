@@ -45,8 +45,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_eval(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_eval(p: Params, args) -> int:
     m = 1.0 if args.m is None else args.m
     value = eval_B(p, args.x, args.y, m)
     print(_header("eval", Q=args.Q, d=args.d, x=args.x, y=args.y, m=m))
@@ -58,8 +57,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_table(p: Params, args) -> int:
     lines = [_header("table", Q=args.Q, d=args.d, nx=args.nx, ny=args.ny),
              "x,y,M"]
     for x in np.linspace(0.0, 1.0, args.nx):
@@ -79,8 +77,7 @@ def _profile_grid(p: Params, n_points: int) -> np.ndarray:
     return np.array(sorted(xs))
 
 
-def cmd_plot_data(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_plot_data(p: Params, args) -> int:
     if p.degenerate:
         raise DomainError("plot-data needs Q > 1")
     xs = _profile_grid(p, args.n_points)
@@ -95,8 +92,7 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
-def cmd_extremize(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_extremize(p: Params, args) -> int:
     pair = build_extremizer(p, args.x, args.y, args.depth, exact=args.exact)
     gap = eval_M(p, args.x, args.y) - float(pair.achieved.value)
     doc = pair_to_json(args.Q, args.d, pair.w, pair.E)
@@ -117,18 +113,15 @@ def cmd_extremize(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_verify(p: Params, args) -> int:
     reports = run_suite(p, args.suite, args.samples, args.seed, args.tol)
+    header = _header("verify", Q=args.Q, d=args.d, suite=args.suite,
+                     samples=args.samples, seed=args.seed, tol=args.tol)
     if args.format == "json":
-        doc = {"header": _header("verify", Q=args.Q, d=args.d, suite=args.suite,
-                                 samples=args.samples, seed=args.seed,
-                                 tol=args.tol),
-               "reports": [r.to_json() for r in reports]}
+        doc = {"header": header, "reports": [r.to_json() for r in reports]}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(_header("verify", Q=args.Q, d=args.d, suite=args.suite,
-                      samples=args.samples, seed=args.seed, tol=args.tol))
+        print(header)
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             line = (f"{r.suite}: {status} worst_slack={_fmt(r.worst_slack)} "
@@ -141,8 +134,7 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_oracle(args) -> int:
-    p = new_params(args.Q, args.d)
+def cmd_oracle(p: Params, args) -> int:
     grid = default_value_grid(p, args.depth, args.grid)
     table = brute_force_oracle(p, args.depth, grid)
     bridge = oracle_vs_closed_form(table, p)
@@ -231,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(new_params(args.Q, args.d), args)
     except ValueError as exc:  # DomainError and the other library errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bellman import _interval_index, eval_B
+from .bellman import _interval_index, _on_lower_branch, eval_B
 from .dyadic import (
     DyadicSet,
     DyadicWeight,
@@ -252,7 +252,7 @@ def build_extremizer(p: Params, x: float, y: float, depth: int,
         DomainPoint(0.0, 1.0, 1.0),
         WeightStats(Fraction(0), one, one, one, 0 * one), 0)
 
-    if y <= 1 + (p.Q - 1) * x + BOUNDARY_TOL:
+    if _on_lower_branch(p, x, y):
         yprime = min(1 + (y - 1) / x, p.Q)
         out = concatenate(p, x, trivial, boundary_weight(p, yprime, exact=exact),
                           depth)

@@ -86,7 +86,12 @@ def osekowski_p_max(p: Params) -> float:
     """
     if p.degenerate:
         raise DegenerateParamsError("p_max is unbounded at Q = 1")
-    return math.log(p.N) / math.log(p.N - (p.N - 1) / p.Q)
+    return endpoint_exponent(p.N, p.Q)
+
+
+def endpoint_exponent(n: int, c: float) -> float:
+    """log(n) / log(n - (n-1)/c) for fan-out n and characteristic c > 1."""
+    return math.log(n) / math.log(n - (n - 1) / c)
 
 
 def in_omega(p: Params, x: float, y: float) -> bool:
@@ -95,14 +100,6 @@ def in_omega(p: Params, x: float, y: float) -> bool:
         return False
     t = BOUNDARY_TOL
     return -t <= x <= 1 + t and 1 - t <= y <= p.Q + t
-
-def in_omega_k(p: Params, k: int, x: float, y: float) -> bool:
-    """Membership in the wedge region {y <= 1 + (Q-1) N^k x} inside the domain."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if not in_omega(p, x, y):
-        return False
-    return y <= 1 + (p.Q - 1) * node_scale(p, k) * x + BOUNDARY_TOL
 
 
 def node_scale(p: Params, k: int) -> float:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from .bellman import _B_vec, _M_vec, _f_vec, _wedge_vec, eval_B
+from .bellman import _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, eval_B
 from .dyadic import (
     DyadicSet,
     DyadicWeight,
@@ -35,7 +35,7 @@ from .dyadic import (
     make_set_node,
     value_distribution,
 )
-from .params import DomainError, Params, osekowski_p_max
+from .params import DomainError, Params, endpoint_exponent, osekowski_p_max
 
 CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
@@ -320,10 +320,7 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
         raise DomainError("branch continuity needs Q > 1")
     x = np.linspace(1e-9, 1.0, n_samples)
     y = 1 + (p.Q - 1) * x
-    lower = x + y - 1
-    u = np.minimum(x * (p.Q - 1) / (y - 1), 1.0)
-    upper = (y - 1) / (p.Q - 1) * _f_vec(p, u)
-    diff = np.abs(lower - upper)
+    diff = np.abs(x + y - 1 - _upper_vec(p, x, y))
     i = int(np.argmax(diff))
     return _report("branch-continuity", n_samples, -float(diff[i]),
                    float(x[i]), tol)
@@ -378,11 +375,7 @@ def check_weak_type(w: DyadicWeight, p_exp: float,
     if minimum != 1:
         raise DomainError("weak-type check needs a weight with min leaf 1")
     char = float(char)
-    n = w.n
-    if char > 1:
-        p_star = math.log(n) / math.log(n - (n - 1) / char)
-    else:
-        p_star = math.inf
+    p_star = endpoint_exponent(w.n, char) if char > 1 else math.inf
     if p_exp > p_star * (1 + 1e-12):
         return CheckReport("weak-type", 0, math.inf, None, True,
                            f"inapplicable: p={p_exp:.6g} beyond endpoint "
@@ -484,6 +477,8 @@ def _check_depth(p: Params, depth: int) -> None:
 def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fraction]:
     """{1}, an even ladder to 1 + N(Q-1), and the corner-construction values."""
     _check_depth(p, depth)
+    if grid_size < 2:
+        raise DomainError(f"oracle grid needs grid_size >= 2, got {grid_size}")
     ladder = {1 + j * (Fraction(p.Q) - 1) * p.N / Fraction(grid_size - 1)
               for j in range(1, grid_size)}
     return sorted(ladder.union({Fraction(1)}, *(_corner_values(p, k)
@@ -501,7 +496,8 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     Buckets key on (set measure, average rounded UP to a step of
     0.05(Q-1)), which keeps bucket values below the closed form at the
     bucket label.  Exact rationals throughout.  Needs depth >= 1;
-    ORACLE_CAP bounds N^depth and the combinations each level tries.
+    ORACLE_CAP bounds N^depth, the combinations each level tries, and
+    N^(2 depth), the size of the witness output.
     """
     _check_depth(p, depth)
     if value_grid is None:
@@ -521,6 +517,7 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
                  if s <= bound * m)
         if lv < depth:      # the root streams, reading the last bound
             level = list(level)
+    _cap(p.N, 2 * depth, "witness leaves")  # N^depth leaves per set size
 
     leaves = p.N**depth
     h = (Qf - 1) / 20 if Qf > 1 else None
@@ -614,6 +611,8 @@ def run_suite(p: Params, name: str, n_samples: Optional[int] = None,
               seed: int = 0, tol: Optional[float] = None) -> list[CheckReport]:
     if n_samples is not None and n_samples < 1:
         raise DomainError(f"suites need n_samples >= 1, got {n_samples}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"suites need a finite tol >= 0, got {tol}")
     names = list(SUITES) if name == "all" else [name]
     out = []
     for nm in names:

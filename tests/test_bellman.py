@@ -13,12 +13,12 @@ from a1embed import (
     eval_M,
     eval_f,
     eval_f_smooth,
+    in_omega,
     new_params,
     wedge_Mk,
     wedge_coeffs,
 )
-from a1embed.bellman import _B_vec, _f_vec, _M_vec, _wedge_vec
-from a1embed.params import in_omega_k
+from a1embed.bellman import _B_vec, _f_vec, _interval_index, _M_vec, _wedge_vec
 
 # independently recomputed at 40 digits
 F_SMOOTH_HALF_10_2 = 9.617692030835672
@@ -118,6 +118,18 @@ def test_degenerate_surface():
 
 def test_wedge_reference_value(p102):
     assert wedge_Mk(p102, 1, 0.01, 10.0) == pytest.approx(8.362, rel=1e-12)
+    with pytest.raises(ValueError):
+        wedge_Mk(p102, -1, 0.5, 5.0)
+
+
+def test_wedge_scalar_is_the_vector_kernel(p102):
+    # same planes, same plane choice, same bits
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 200)
+    y = rng.uniform(1.0, p102.Q, 200)
+    for k in (0, 1, 2, 5):
+        v = _wedge_vec(p102, k, x, y)
+        assert [wedge_Mk(p102, k, a, b) for a, b in zip(x, y)] == v.tolist()
 
 
 def test_wedge_planes(p102):
@@ -150,7 +162,6 @@ def test_wedge_dominates_surface(p102):
 
 WEDGE_CALLS = {
     "wedge_coeffs": lambda p, k: wedge_coeffs(p, k),
-    "in_omega_k": lambda p, k: in_omega_k(p, k, 0.5, 1.0),
     "wedge_Mk": lambda p, k: wedge_Mk(p, k, 0.5, 1.0),
     "_wedge_vec": lambda p, k: _wedge_vec(p, k, np.array([0.5]), np.array([1.0])),
 }
@@ -181,3 +192,44 @@ def test_vectorized_matches_scalar(p102):
     m = rng.uniform(0.5, 2.0, 500)
     b_s = np.array([eval_B(p102, a, bb * mm, mm) for a, bb, mm in zip(x, y, m)])
     assert np.allclose(_B_vec(p102, x, y * m, m), b_s, rtol=1e-13, atol=0)
+
+
+# Adversarial points for the interval index and the two kernels: every
+# normal breakpoint N^-k with its float neighbours in (0, 1], one subnormal,
+# and y one ulp either side of the dividing line y = 1 + (Q-1)x.
+EDGE_QS = (1 + 1e-9, 1.0001, 2.0, 10.0, 1e12)
+
+
+def _edge_xs(d: int) -> np.ndarray:
+    xs = {5e-324 * 3}
+    k = 0
+    while math.ldexp(1.0, -d * k) >= 2.0**-1022:
+        node = math.ldexp(1.0, -d * k)
+        xs.update((math.nextafter(node, 0.0), node, math.nextafter(node, 2.0)))
+        k += 1
+    return np.array(sorted(x for x in xs if 0 < x <= 1))
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # both non-negative, so the integer views are ordered like the floats
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_interval_index_and_kernels_at_breakpoints(d):
+    xs = _edge_xs(d)
+    p = new_params(2.0, d)
+    for x in xs.tolist():
+        k, s = _interval_index(p, x)
+        assert 1.0 / p.N < s <= 1.0 and math.ldexp(s, -d * k) == x
+    for Q in EDGE_QS:
+        p = new_params(Q, d)
+        f_s = np.array([eval_f(p, x) for x in xs.tolist()])
+        assert _ulps(_f_vec(p, xs), f_s).max() <= 2
+        line = 1 + (p.Q - 1) * xs
+        pts = [(x, y) for x, l in zip(xs.tolist(), line.tolist())
+               for y in (math.nextafter(l, 0.0), l, math.nextafter(l, math.inf))
+               if 1.0 <= y <= p.Q and in_omega(p, x, y)]
+        x, y = np.array(pts).T
+        m_s = np.array([eval_M(p, a, b) for a, b in pts])
+        assert _ulps(_M_vec(p, x, y), m_s).max() <= 2

@@ -196,6 +196,7 @@ def test_oracle_depth_below_one(capsys, depth):
     ("--Q", "2", "--d", "4", "--depth", "4"),     # 10^16 pairs at level 1
     ("--Q", "2", "--d", "10", "--depth", "3"),    # 2^30 leaves
     ("--Q", "1", "--d", "1", "--depth", "40"),    # one value, 2^40 leaves
+    ("--Q", "1", "--d", "1", "--depth", "12", "--format", "json"),  # 2^24 out
     ("--Q", "2", "--d", "1", "--depth", "3000"),  # refused before the grid
 ], ids=" ".join)
 def test_oracle_size_refusal_is_fast(capsys, argv):
@@ -206,6 +207,26 @@ def test_oracle_size_refusal_is_fast(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "exceed the oracle cap" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-2"])
+def test_oracle_bad_grid(capsys, grid):
+    # each printed the same PASS table as a valid grid, echoing the bad value
+    rc, out, err = run(capsys, "oracle", "--Q", "2", "--d", "1", "--depth",
+                       "1", "--grid", grid)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: oracle grid needs grid_size >= 2, got {grid}\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_bad_tol(capsys, tol):
+    # inf passed every suite, nan failed every one, -1 failed concavity
+    rc, out, err = run(capsys, "verify", "--Q", "10", "--d", "2", "--suite",
+                       "all", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: suites need a finite tol >= 0")
 
 
 def test_missing_required_flag():

@@ -1,10 +1,12 @@
 """Golden outputs: SHA-256 of CLI runs whose bytes must not change.
 
 Each case runs `a1embed` in-process and hashes its exit code, stdout and
-stderr.  The hashes pin the JSON of shallow and deep extremal pairs (float
-and exact leaves, five dimensions, both branches), the oracle's JSON and
-CSV tables (Q = 1 included) and every verify suite, so a refactor of the
-tree, JSON, sampling or oracle code that moves a single byte fails here.  A change that alters an output on
+stderr.  The hashes pin the closed form (`eval` on both branches and at a
+breakpoint, `table`, `plot-data`), the JSON of shallow and deep extremal
+pairs (float and exact leaves, five dimensions, both branches), the
+oracle's JSON and CSV tables (Q = 1 included) and every verify suite, so a
+refactor of the kernel, tree, JSON, sampling or oracle code that moves a
+single byte fails here.  A change that alters an output on
 purpose updates the hash and says why.
 """
 
@@ -30,7 +32,20 @@ EXTREMIZE_POINTS = [
     (10, 10, 0.3, 8, 8),
 ]
 
-CASES = [
+CLOSED_FORM = [
+    # u = x(Q-1)/(y-1) lands exactly on the breakpoint N^-2
+    "eval --Q 10 --d 2 --x 0.0625 --y 10",
+    "eval --Q 10 --d 2 --x 0.3 --y 2",
+    "eval --Q 5 --d 3 --x 0.2 --y 6 --m 1.5",
+    "table --Q 10 --d 2",
+    "table --Q 5 --d 3 --nx 21 --ny 21",
+    # the last two are where the scalar and vector kernels round apart
+    "plot-data --Q 10 --d 2",
+    "plot-data --Q 5 --d 3",
+    "plot-data --Q 1.0001 --d 1",
+]
+
+CASES = [argv.split() for argv in CLOSED_FORM] + [
     ["extremize", "--Q", str(Q), "--d", str(d), "--x", str(x), "--y", str(y),
      "--depth", str(depth)] + exact
     for Q, d, x, y, depth in EXTREMIZE_POINTS
@@ -52,6 +67,22 @@ CASES = [
 ]
 
 GOLDEN = {
+    "eval --Q 10 --d 2 --x 0.0625 --y 10":
+        "1773cfd6d0ca1b78d60c03601893add48c30504497283302763e03d959aa68bd",
+    "eval --Q 10 --d 2 --x 0.3 --y 2":
+        "992ca75ce35a90a78269b79be3340401534cefaabbca07e6096df30cb0ae16b2",
+    "eval --Q 5 --d 3 --x 0.2 --y 6 --m 1.5":
+        "04bfb61c78a29182fb405422283866ecf60edb39a9e2483620fceee703c54de1",
+    "table --Q 10 --d 2":
+        "282a6e7bc8ec1848824e7199f88da5724ca564089c15d08777c9c5d4f68120b1",
+    "table --Q 5 --d 3 --nx 21 --ny 21":
+        "f96a6df794e1e0724c79b6677e10f87c252073ad3355ff07c46c7f24fba66cf9",
+    "plot-data --Q 10 --d 2":
+        "6ff90d8922a8908b6483baf7ca77efaae0c3ca2e6d7b0b0e01026dbb728f4332",
+    "plot-data --Q 5 --d 3":
+        "0c4aaf38d1b28e06c9fdf51458ed4b2f02e6a2b545f724888b001d4b700ca3e6",
+    "plot-data --Q 1.0001 --d 1":
+        "a2d93f636d3721cafd19b2c4cba7fc420bfd691e48b6d1d20d153820aa095209",
     "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6":
         "447e7f86a3970f50275d0bd6a986dcc97724528871d93d001e3dc37c693f7c2b",
     "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6 --exact":

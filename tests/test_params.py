@@ -9,7 +9,6 @@ from a1embed import (
     DegenerateParamsError,
     in_omega,
     in_omega_b,
-    in_omega_k,
     new_params,
     osekowski_p_max,
 )
@@ -98,16 +97,6 @@ def test_in_omega(p102):
     assert not in_omega(p102, 0.5, 10.5)
     assert not in_omega(p102, 0.5, 0.9)
     assert not in_omega(p102, float("nan"), 5.0)
-
-
-def test_in_omega_k(p102):
-    # wedge region widens with k
-    assert not in_omega_k(p102, 0, 0.01, 10.0)
-    assert not in_omega_k(p102, 1, 0.01, 10.0)
-    assert in_omega_k(p102, 2, 0.07, 10.0)
-    assert in_omega_k(p102, 0, 1.0, 10.0)
-    with pytest.raises(ValueError):
-        in_omega_k(p102, -1, 0.5, 5.0)
 
 
 def test_in_omega_b(p102):

@@ -221,6 +221,13 @@ def test_oracle_size_cap(p21, monkeypatch):
         brute_force_oracle(p21, 4, value_grid=[1])
 
 
+def test_oracle_bounds_witness_output(p21):
+    # one value: a single tree, yet N^depth witnesses of N^depth leaves each
+    assert brute_force_oracle(p21, 10, value_grid=[1]).depth == 10
+    with pytest.raises(DomainError, match="2\\^22 witness leaves exceed"):
+        brute_force_oracle(p21, 11, value_grid=[1])
+
+
 @pytest.mark.parametrize("depth", [0, -1])
 def test_oracle_needs_depth_one(p21, depth):
     with pytest.raises(DomainError, match="depth >= 1"):
