@@ -11,9 +11,9 @@ from .params import (
     BOUNDARY_TOL,
     DegenerateParamsError,
     DomainError,
-    DomainPoint,
     InvariantError,
     Params,
+    clamp_omega,
     in_omega,
     in_omega_b,
     new_params,

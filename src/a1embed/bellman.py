@@ -31,7 +31,7 @@ from .params import (
     DegenerateParamsError,
     DomainError,
     Params,
-    in_omega,
+    clamp_omega,
     in_omega_b,
     node_scale,
 )
@@ -103,10 +103,7 @@ def _on_lower_branch(p: Params, x, y):
 
 def eval_M(p: Params, x: float, y: float) -> float:
     """Normalized bound M(x, y) on {0 <= x <= 1, 1 <= y <= Q}."""
-    if not in_omega(p, x, y):
-        raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
-    x = min(max(x, 0.0), 1.0)
-    y = min(max(y, 1.0), p.Q)
+    x, y = clamp_omega(p, x, y)
     if _on_lower_branch(p, x, y):
         return x + y - 1
     u = min(x * (p.Q - 1) / (y - 1), 1.0)
@@ -114,9 +111,8 @@ def eval_M(p: Params, x: float, y: float) -> float:
 
 
 def classify_point(p: Params, x: float, y: float) -> BranchInfo:
-    """Report the branch/interval eval_M uses at (x, y); same domain checks."""
-    if not in_omega(p, x, y):
-        raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
+    """Report the branch/interval eval_M uses at (x, y); same domain clamp."""
+    x, y = clamp_omega(p, x, y)
     if _on_lower_branch(p, x, y):
         return BranchInfo("lower")
     u = min(x * (p.Q - 1) / (y - 1), 1.0)
@@ -135,7 +131,8 @@ def eval_B(p: Params, x: float, y: float, m: float) -> float:
     if p.degenerate:
         # only y = m survives the constraint chain; the bound collapses
         return m * min(max(x, 0.0), 1.0)
-    return m * eval_M(p, min(max(x, 0.0), 1.0), min(max(y / m, 1.0), p.Q))
+    # in_omega_b's tolerance on y/m is relative, wider than eval_M's
+    return m * eval_M(p, x, min(max(y / m, 1.0), p.Q))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +165,10 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
     The planes cross on the line y = 1 + (Q-1) N^k x, so the wedge takes
     plane k-1 inside that region and plane k outside it; this keeps the
     wedge continuous and everywhere >= M.  k = 0 is the single plane
-    x + (y - 1).  The checked scalar face of _wedge_vec.
+    x + (y - 1).  The checked scalar face of _wedge_vec; (x, y) is checked
+    against the domain but, unlike in eval_M, not clamped.
     """
-    if not in_omega(p, x, y):
-        raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
+    clamp_omega(p, x, y)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return float(_wedge_vec(p, k, x, y))

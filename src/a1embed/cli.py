@@ -22,7 +22,7 @@ from . import __version__
 from .bellman import _f_vec, classify_point, eval_B, eval_M
 from .dyadic import pair_to_json
 from .extremize import build_extremizer
-from .params import DomainError, Params, new_params
+from .params import DomainError, Params, clamp_omega, new_params
 from .verify import SUITES, brute_force_oracle, default_value_grid, \
     oracle_vs_closed_form, run_suite
 
@@ -51,8 +51,7 @@ def cmd_eval(p: Params, args) -> int:
     print(_header("eval", Q=args.Q, d=args.d, x=args.x, y=args.y, m=m))
     print(f"B({_fmt(args.x)}, {_fmt(args.y)}, {_fmt(m)}) = {_fmt(value)}")
     if not p.degenerate:
-        info = classify_point(p, min(max(args.x, 0.0), 1.0),
-                              min(max(args.y / m, 1.0), p.Q))
+        info = classify_point(p, args.x, min(max(args.y / m, 1.0), p.Q))
         print(info.describe())
     return 0
 
@@ -96,8 +95,9 @@ def cmd_extremize(p: Params, args) -> int:
     pair = build_extremizer(p, args.x, args.y, args.depth, exact=args.exact)
     gap = eval_M(p, args.x, args.y) - float(pair.achieved.value)
     doc = pair_to_json(args.Q, args.d, pair.w, pair.E)
-    doc["depth"] = pair.truncation_depth
-    doc["target"] = {"x": pair.target.x, "y": pair.target.y, "m": 1.0}
+    doc["depth"] = args.depth
+    x, y = clamp_omega(p, args.x, args.y)
+    doc["target"] = {"x": x, "y": y, "m": 1.0}
     st = pair.achieved
     doc["achieved"] = {"x": float(st.x), "y": float(st.y), "m": float(st.m),
                        "char": float(st.char), "value": float(st.value)}

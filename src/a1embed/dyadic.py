@@ -32,7 +32,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Union
 
-from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX
+from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX, new_params
 
 WeightNode = Union[float, Fraction, tuple]
 SetNode = Union[bool, tuple]
@@ -322,10 +322,11 @@ def _tree_to_json(root, leaf_doc):
     return walk(root)
 
 
-def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node):
+def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
+                    max_depth: int):
     defs: dict = {}
 
-    def walk(doc):
+    def walk(doc, depth):
         if leaf_key in doc:
             return leaf(doc[leaf_key])
         if "ref" in doc:
@@ -333,15 +334,17 @@ def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node):
             if node is None:
                 raise ValueError(f"ref {doc['ref']} precedes its definition")
             return node
+        if depth >= max_depth:      # stop before the recursion goes deeper
+            raise ValueError(f"{kind} tree deeper than {max_depth}")
         children = doc["children"]
         if len(children) != n:
             raise ValueError(f"{kind} node has {len(children)} children, want {n}")
-        node = make_node(walk(c) for c in children)
+        node = make_node(walk(c, depth + 1) for c in children)
         if "id" in doc:
             defs[doc["id"]] = node
         return node
 
-    return walk(doc)
+    return walk(doc, 0)
 
 
 def _set_leaf(marker) -> bool:
@@ -361,14 +364,18 @@ def pair_to_json(Q: float, d: int, w: DyadicWeight, E: DyadicSet) -> dict:
 
 
 def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
-    """Parse {"Q", "d", "weight", "set"}; validates both trees."""
-    Q = float(doc["Q"])
-    d = int(doc["d"])
-    n = 2**d
-    w = DyadicWeight(n, _tree_from_json(doc["weight"], n, "weight", "leaf",
-                                        float, tuple))
-    E = DyadicSet(n, _tree_from_json(doc["set"], n, "set", "set", _set_leaf,
-                                     make_set_node))
+    """Parse {"Q", "d", "weight", "set"}; validates both trees.
+
+    (Q, d) must pass new_params.  Every malformed document raises ValueError.
+    """
+    try:
+        p = new_params(doc["Q"], doc["d"])
+        w = DyadicWeight(p.N, _tree_from_json(
+            doc["weight"], p.N, "weight", "leaf", float, tuple, max_depth))
+        E = DyadicSet(p.N, _tree_from_json(
+            doc["set"], p.N, "set", "set", _set_leaf, make_set_node, max_depth))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed pair document: {exc!r}") from None
     validate_weight(w, max_depth)
     validate_set(E, max_depth)
-    return Q, d, w, E
+    return p.Q, p.d, w, E

@@ -25,15 +25,19 @@ the two corner pairs bracketing u = x(Q-1)/(y-1).
 With exact=True all leaves are Fractions and eta enters as an exact
 rational, so corner statistics come out exactly Q*eta^k.  apply_T and
 concatenate take exactness from their input pairs (the type of the
-minimum, which both require to be 1).  Every public construction checks
-its result once (_finalize); build_corner checks only its last pair,
-which covers the intermediate ones.
+minimum, which both require to be 1).
+
+An ExtremalPair is the two trees and their statistics, nothing else: the
+point asked for and the digit count are the caller's.  Every pair comes
+from _finalize, which computes the statistics and checks them once;
+build_corner checks only its last pair, which covers the intermediate
+ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bellman import _interval_index, _on_lower_branch, eval_B
@@ -52,10 +56,9 @@ from .params import (
     DIGITS_MAX,
     DegenerateParamsError,
     DomainError,
-    DomainPoint,
     InvariantError,
     Params,
-    in_omega,
+    clamp_omega,
 )
 
 
@@ -63,13 +66,10 @@ from .params import (
 class ExtremalPair:
     w: DyadicWeight
     E: DyadicSet
-    target: DomainPoint
     achieved: WeightStats
-    truncation_depth: int
 
 
-def _finalize(p: Params, w: DyadicWeight, E: DyadicSet,
-              target: DomainPoint, depth: int) -> ExtremalPair:
+def _finalize(p: Params, w: DyadicWeight, E: DyadicSet) -> ExtremalPair:
     st = stats(w, E)
     if not float(st.char) <= p.Q + 1e-9:
         raise InvariantError(f"characteristic {float(st.char)} > Q = {p.Q}")
@@ -79,7 +79,7 @@ def _finalize(p: Params, w: DyadicWeight, E: DyadicSet,
     bound = eval_B(p, x, min(y, p.Q), 1.0)
     if not float(st.value) <= bound + 1e-9:
         raise InvariantError(f"captured mass {float(st.value)} > B = {bound}")
-    return ExtremalPair(w, E, target, st, depth)
+    return ExtremalPair(w, E, st)
 
 
 def _boundary_tree(p: Params, y, one) -> tuple:
@@ -89,12 +89,10 @@ def _boundary_tree(p: Params, y, one) -> tuple:
 
 def boundary_weight(p: Params, y, exact: bool = False) -> ExtremalPair:
     """Depth-1 pair realizing M(1, y) = y on the right edge of the domain."""
-    if not 1 - BOUNDARY_TOL <= y <= p.Q + BOUNDARY_TOL:
-        raise DomainError(f"boundary average y = {y!r} outside [1, Q]")
-    y = min(max(y, 1), p.Q)
+    _, y = clamp_omega(p, 1.0, y)
     one = Fraction(1) if exact else 1.0
     return _finalize(p, DyadicWeight(p.N, _boundary_tree(p, y, one)),
-                     DyadicSet(p.N, True), DomainPoint(1.0, float(y), 1.0), 0)
+                     DyadicSet(p.N, True))
 
 
 def apply_S(E: DyadicSet) -> DyadicSet:
@@ -128,8 +126,7 @@ def apply_T(p: Params, pair: ExtremalPair) -> ExtremalPair:
     if abs(float(pair.achieved.y) - p.Q) > 1e-9:
         raise DomainError("apply_T needs a pair with average exactly Q")
     w, E = _push_down(p, pair.w, pair.E, _unit(p, pair, "apply_T"))
-    return _finalize(p, w, E, DomainPoint(float(pair.target.x) / p.N, p.Q, 1.0),
-                     pair.truncation_depth)
+    return _finalize(p, w, E)
 
 
 def build_corner(p: Params, k: int, exact: bool = False) -> ExtremalPair:
@@ -145,15 +142,13 @@ def build_corner(p: Params, k: int, exact: bool = False) -> ExtremalPair:
         raise DomainError(f"corner index k = {k} outside [0, {CORNER_K_MAX}]")
     one = Fraction(1) if exact else 1.0
     w, E = DyadicWeight(p.N, _boundary_tree(p, p.Q, one)), DyadicSet(p.N, True)
-    x = 1.0
     for _ in range(k):
         w, E = _push_down(p, w, E, one)
-        x /= p.N
-    return _finalize(p, w, E, DomainPoint(x, p.Q, 1.0), 0)
+    return _finalize(p, w, E)
 
 
-def _binary_digits(lam: Fraction, depth: int) -> tuple[list[int], Fraction]:
-    """First `depth` binary digits of lam and their truncated value."""
+def _binary_digits(lam: Fraction, depth: int) -> list[int]:
+    """First `depth` binary digits of lam."""
     bits = []
     r = lam
     for _ in range(depth):
@@ -161,7 +156,7 @@ def _binary_digits(lam: Fraction, depth: int) -> tuple[list[int], Fraction]:
         b = 1 if r >= 1 else 0
         bits.append(b)
         r -= b
-    return bits, lam - r / 2**depth
+    return bits
 
 
 def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
@@ -180,17 +175,11 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
         raise DomainError(f"digit count {depth} outside [1, {CONCAT_DIGITS_MAX}]")
     for pair in (pair0, pair1):
         one = _unit(p, pair, "concatenate")     # exact when the inputs are
-
-    x0, y0 = float(pair0.achieved.x), float(pair0.achieved.y)
-    x1, y1 = float(pair1.achieved.x), float(pair1.achieved.y)
-    lf = float(lamf)
-    target = DomainPoint((1 - lf) * x0 + lf * x1, (1 - lf) * y0 + lf * y1, 1.0)
-
     if lamf == 1:
         # terminating expansion would be 0.111...; take the pair itself
-        return replace(pair1, target=target, truncation_depth=depth)
+        return pair1
 
-    bits, _ = _binary_digits(lamf, depth)
+    bits = _binary_digits(lamf, depth)
     half = p.N // 2
     wcur = one
     scur = False
@@ -198,8 +187,7 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
         src = pair1 if b else pair0
         wcur = (src.w.tree,) * half + (wcur,) * half
         scur = make_set_node((src.E.tree,) * half + (scur,) * half)
-    return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur),
-                     target, depth)
+    return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur))
 
 
 def _inner_digits(p: Params, depth: int) -> int:
@@ -227,38 +215,27 @@ def build_extremizer(p: Params, x: float, y: float, depth: int,
     """Near-extremal pair for any (x, y) in the domain.
 
     The captured mass sits within 2Q*2^-depth below M(x, y), and the
-    achieved (set measure, average) within max(1, Q)*2^-depth of the
-    target.  Deepening `depth` only ever improves the mass.
+    achieved (set measure, average) within max(1, Q)*2^-depth of
+    (x, y).  Deepening `depth` only ever improves the mass.
     """
     if p.degenerate:
         raise DegenerateParamsError("extremizers need Q > 1")
-    if not in_omega(p, x, y):
-        raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
+    x, y = clamp_omega(p, x, y)
     if not 1 <= depth <= DIGITS_MAX:
         raise DomainError(f"depth {depth} outside [1, {DIGITS_MAX}]")
-    x = min(max(x, 0.0), 1.0)
-    y = min(max(y, 1.0), p.Q)
-
+    empty = DyadicSet(p.N, False)
     if x == 0:
         # all the average, none of the set: M(0, y) = 0
-        bw = boundary_weight(p, y, exact=exact)
-        empty = DyadicSet(p.N, False)
-        return replace(bw, E=empty, target=DomainPoint(0.0, y, 1.0),
-                       achieved=stats(bw.w, empty), truncation_depth=depth)
+        return _finalize(p, boundary_weight(p, y, exact=exact).w, empty)
 
     one = Fraction(1) if exact else 1.0
-    trivial = ExtremalPair(
-        DyadicWeight(p.N, one), DyadicSet(p.N, False),
-        DomainPoint(0.0, 1.0, 1.0),
-        WeightStats(Fraction(0), one, one, one, 0 * one), 0)
+    trivial = _finalize(p, DyadicWeight(p.N, one), empty)
 
     if _on_lower_branch(p, x, y):
         yprime = min(1 + (y - 1) / x, p.Q)
-        out = concatenate(p, x, trivial, boundary_weight(p, yprime, exact=exact),
-                          depth)
-    else:
-        lam = (y - 1) / (p.Q - 1)
-        u = min(x * (p.Q - 1) / (y - 1), 1.0)
-        edge = _pair_on_q_edge(p, u, _inner_digits(p, depth), exact)
-        out = concatenate(p, lam, trivial, edge, depth)
-    return replace(out, target=DomainPoint(x, y, 1.0))
+        return concatenate(p, x, trivial,
+                           boundary_weight(p, yprime, exact=exact), depth)
+    lam = (y - 1) / (p.Q - 1)
+    u = min(x * (p.Q - 1) / (y - 1), 1.0)
+    edge = _pair_on_q_edge(p, u, _inner_digits(p, depth), exact)
+    return concatenate(p, lam, trivial, edge, depth)

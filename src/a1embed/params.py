@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 D_MAX = 20          # N = 2^d stays a safe exact integer/float
 BOUNDARY_TOL = 1e-12
@@ -50,15 +49,6 @@ class Params:
     eta: float
     epsilon: float
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class DomainPoint:
-    """A point (x, y, m): set mass, weight average, weight minimum."""
-
-    x: float
-    y: float
-    m: Optional[float] = None
 
 
 def new_params(Q: float, d: int) -> Params:
@@ -100,6 +90,16 @@ def in_omega(p: Params, x: float, y: float) -> bool:
         return False
     t = BOUNDARY_TOL
     return -t <= x <= 1 + t and 1 - t <= y <= p.Q + t
+
+
+def clamp_omega(p: Params, x: float, y: float) -> tuple[float, float]:
+    """(x, y) moved into the box; DomainError unless in_omega(p, x, y).
+
+    max(0.0, x) keeps 0.0 first, so x = -0.0 comes back as 0.0.
+    """
+    if not in_omega(p, x, y):
+        raise DomainError(f"({x!r}, {y!r}) outside the domain for Q = {p.Q}")
+    return min(max(0.0, x), 1.0), min(max(1.0, y), p.Q)
 
 
 def node_scale(p: Params, k: int) -> float:

@@ -320,6 +320,8 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
         raise DomainError("branch continuity needs Q > 1")
     x = np.linspace(1e-9, 1.0, n_samples)
     y = 1 + (p.Q - 1) * x
+    # where y rounded below the line, one step up puts u = x(Q-1)/(y-1) <= 1
+    y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, np.inf), y)
     diff = np.abs(x + y - 1 - _upper_vec(p, x, y))
     i = int(np.argmax(diff))
     return _report("branch-continuity", n_samples, -float(diff[i]),

@@ -79,6 +79,23 @@ def test_branch_classification(p102):
     assert classify_point(p102, 0.1, 4.6).describe() == "upper branch, interval k=0"
 
 
+@pytest.mark.parametrize("x, y", [(-1e-12, 1 - 1e-12), (1 + 1e-12, 10 + 1e-12),
+                                  (0.5, 10 + 5e-13)])
+def test_classify_point_names_the_branch_eval_M_takes(p102, monkeypatch, x, y):
+    # just outside the box, inside the tolerance: both clamp the same way, so
+    # the upper branch is reported exactly when eval_M evaluates f, at the
+    # interval of the u it evaluates f at
+    import a1embed.bellman as bm
+
+    us = []
+    monkeypatch.setattr(bm, "eval_f", lambda p, u: us.append(u) or eval_f(p, u))
+    eval_M(p102, x, y)
+    info = classify_point(p102, x, y)
+    assert info.branch == ("upper" if us else "lower")
+    if us:
+        assert info.k == _interval_index(p102, us[0])[0]
+
+
 def test_surface_domain_errors(p102):
     with pytest.raises(DomainError):
         eval_M(p102, 1.5, 5.0)

@@ -99,6 +99,7 @@ def test_extremize_writes_loadable_pair(capsys, tmp_path):
     assert "gap to closed form" in out
     doc = json.loads(out_file.read_text())
     assert doc["depth"] == 16
+    assert doc["target"] == {"x": 0.3, "y": 8.0, "m": 1.0}
     Q, d, w, E = pair_from_json(doc, max_depth=80)
     st = stats(w, E)
     assert float(st.value) == pytest.approx(doc["achieved"]["value"], abs=1e-12)

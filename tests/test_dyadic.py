@@ -299,6 +299,42 @@ def test_json_malformed_documents():
         pair_from_json(bad)
 
 
+def _nested(depth):
+    doc = {"leaf": 1.0}
+    for _ in range(depth):
+        doc = {"children": [doc, {"leaf": 1.0}]}
+    return doc
+
+
+GOOD_DOC = {"Q": 2.0, "d": 1, "weight": {"leaf": 1.0}, "set": {"set": "full"}}
+
+
+@pytest.mark.parametrize("change", [
+    {"set": None},                                      # no "set" key
+    {"weight": {"children": 5}},
+    {"weight": {"children": [[{"leaf": 1.0}], {"leaf": 1.0}]}},
+    {"weight": [{"leaf": 1.0}, {"leaf": 1.0}]},
+    {"weight": _nested(600)},                           # past the recursion limit
+    {"d": 40},                                          # above D_MAX
+    {"d": 0},
+], ids=["missing-set", "children-not-a-list", "list-for-a-child",
+        "list-for-the-root", "600-deep", "d-40", "d-0"])
+def test_json_malformed_documents_raise_value_error(change):
+    assert pair_from_json(dict(GOOD_DOC))[0] == 2.0
+    doc = {k: v for k, v in {**GOOD_DOC, **change}.items() if v is not None}
+    with pytest.raises(ValueError):
+        pair_from_json(doc)
+
+
+def test_json_decoder_stops_at_the_depth_cap():
+    # the cap is applied as the decoder descends, with validate_*'s meaning:
+    # a leaf may sit at depth max_depth, an internal node may not
+    doc = dict(GOOD_DOC, weight=_nested(5))
+    pair_from_json(doc, max_depth=5)
+    with pytest.raises(ValueError, match="deeper than 4"):
+        pair_from_json(doc, max_depth=4)
+
+
 def unique_nodes(tree) -> int:
     seen = set()
     stack = [tree]

@@ -89,7 +89,6 @@ def test_corner_is_the_k_fold_T_chain(d, exact):
         corner = build_corner(p, k, exact=exact)
         assert corner.w == pair.w and corner.E == pair.E
         assert corner.achieved == pair.achieved
-        assert (corner.target, corner.truncation_depth) == (pair.target, 0)
         assert isinstance(corner.achieved.value, Fraction) == exact
 
 
@@ -263,13 +262,9 @@ def test_extremizer_exact_mode_on_corner(p102):
     assert pair.achieved.value == Fraction(37, 4)
 
 
-def test_truncation_depth_recorded(p102):
-    assert build_extremizer(p102, 0.3, 8.0, depth=14).truncation_depth == 14
-
-
 BAD_FINALIZE = """
 import sys
-from a1embed import DomainPoint, DyadicSet, DyadicWeight, InvariantError, new_params
+from a1embed import DyadicSet, DyadicWeight, InvariantError, new_params
 from a1embed.extremize import _finalize
 p = new_params(10.0, 2)
 cases = [
@@ -278,8 +273,7 @@ cases = [
 ]
 for leaves in cases:
     try:
-        _finalize(p, DyadicWeight(4, leaves), DyadicSet(4, True),
-                  DomainPoint(1.0, 1.0, 1.0), 0)
+        _finalize(p, DyadicWeight(4, leaves), DyadicSet(4, True))
     except InvariantError as exc:
         print(type(exc).__name__, exc)
     else:

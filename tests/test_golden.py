@@ -2,7 +2,8 @@
 
 Each case runs `a1embed` in-process and hashes its exit code, stdout and
 stderr.  The hashes pin the closed form (`eval` on both branches and at a
-breakpoint, `table`, `plot-data`), the JSON of shallow and deep extremal
+breakpoint, `table`, `plot-data`), points just outside the box that are
+clamped into it, the JSON of shallow and deep extremal
 pairs (float and exact leaves, five dimensions, both branches), the
 oracle's JSON and CSV tables (Q = 1 included) and every verify suite, so a
 refactor of the kernel, tree, JSON, sampling or oracle code that moves a
@@ -45,7 +46,16 @@ CLOSED_FORM = [
     "plot-data --Q 1.0001 --d 1",
 ]
 
-CASES = [argv.split() for argv in CLOSED_FORM] + [
+EDGE = [
+    # just outside the box, inside BOUNDARY_TOL: clamped before evaluation
+    # (the `=` keeps argparse from reading -1e-13 as an option)
+    "eval --Q 10 --d 2 --x=-1e-13 --y 0.9999999999999",
+    # x = -0.0 reports target x 0.0; the second point clamps to the corner
+    "extremize --Q 10 --d 2 --x -0.0 --y 5 --depth 4",
+    "extremize --Q 10 --d 2 --x 1.0000000000001 --y 10.0000000000001 --depth 6",
+]
+
+CASES = [argv.split() for argv in CLOSED_FORM + EDGE] + [
     ["extremize", "--Q", str(Q), "--d", str(d), "--x", str(x), "--y", str(y),
      "--depth", str(depth)] + exact
     for Q, d, x, y, depth in EXTREMIZE_POINTS
@@ -83,6 +93,12 @@ GOLDEN = {
         "0c4aaf38d1b28e06c9fdf51458ed4b2f02e6a2b545f724888b001d4b700ca3e6",
     "plot-data --Q 1.0001 --d 1":
         "a2d93f636d3721cafd19b2c4cba7fc420bfd691e48b6d1d20d153820aa095209",
+    "eval --Q 10 --d 2 --x=-1e-13 --y 0.9999999999999":
+        "05c394ac602e7ffdb920f6a2fc270a25811d754a0f4417fff669d704b8345542",
+    "extremize --Q 10 --d 2 --x -0.0 --y 5 --depth 4":
+        "b4a1fd4df75225cd1992e527166f9f06e5478826cc125fa8408b9f45fde918f9",
+    "extremize --Q 10 --d 2 --x 1.0000000000001 --y 10.0000000000001 --depth 6":
+        "640a131555de4038b3cc79a7481ecd56f2bf73cc999d0f0e0c4f70c2e3e97b5b",
     "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6":
         "447e7f86a3970f50275d0bd6a986dcc97724528871d93d001e3dc37c693f7c2b",
     "extremize --Q 10 --d 2 --x 0.3 --y 8 --depth 6 --exact":
@@ -139,8 +155,9 @@ GOLDEN = {
         "b3c3960dbe12c75fb1e3f5f44691b45a34504f58f0a2efc372de3f19ec8ba1d6",
     "verify --Q 10 --d 2 --suite all --format json --seed 7 --samples 70000":
         "4076826d080d1a1241d4b1b3d53f28f85cf64cf49a93be6ca748c8fe2365e28c",
+    # branch-continuity's witness moved when y stopped rounding below the line
     "verify --Q 5 --d 3 --suite all --format json --seed 7 --samples 70000":
-        "1a372df3f3f0dd78475fe45e15e7b9e7c08186a49b66a16245a8c331e371f80c",
+        "0e488cf6d5548c575ab50608302cb24ceca995ca0d932d57d4964fa14c62bf58",
 }
 
 

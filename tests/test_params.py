@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from a1embed import (
     DegenerateParamsError,
+    DomainError,
+    clamp_omega,
     in_omega,
     in_omega_b,
     new_params,
@@ -97,6 +99,18 @@ def test_in_omega(p102):
     assert not in_omega(p102, 0.5, 10.5)
     assert not in_omega(p102, 0.5, 0.9)
     assert not in_omega(p102, float("nan"), 5.0)
+
+
+def test_clamp_omega(p102):
+    assert clamp_omega(p102, 0.5, 5.5) == (0.5, 5.5)
+    assert clamp_omega(p102, -1e-13, 1 - 1e-13) == (0.0, 1.0)
+    assert clamp_omega(p102, 1 + 1e-13, 10 + 1e-13) == (1.0, 10.0)
+    x, _ = clamp_omega(p102, -0.0, 5.0)
+    assert math.copysign(1.0, x) == 1.0       # -0.0 comes back as 0.0
+    for x, y in ((1.1, 5.0), (0.5, 10.5), (0.5, 0.9), (float("nan"), 5.0),
+                 (-1e-11, 5.0)):
+        with pytest.raises(DomainError, match="outside the domain"):
+            clamp_omega(p102, x, y)
 
 
 def test_in_omega_b(p102):

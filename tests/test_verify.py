@@ -27,7 +27,7 @@ from a1embed import (
     stats,
 )
 from a1embed import verify
-from a1embed.bellman import _wedge_vec
+from a1embed.bellman import _upper_vec, _wedge_vec
 from a1embed.cli import main
 from a1embed.verify import SUITES
 
@@ -84,6 +84,27 @@ def test_wedge_inequality_catches_relative_violation(d, monkeypatch):
     monkeypatch.setattr(verify, "_wedge_vec", shrunk)
     r = check_wedge_inequality(new_params(10, d), n_samples=20000)
     assert not r.passed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("Q, d", [("1.0000001", "1"), ("1.000000001", "20")])
+def test_branch_continuity_passes_near_q_one(capsys, Q, d):
+    # y = 1 + (Q-1)x rounded below the line used to clip u above 1 (and, at
+    # x = 1e-9, divide by y - 1 = 0): a false FAIL with a RuntimeWarning
+    argv = ["verify", "--Q", Q, "--d", d, "--suite", "branch-continuity"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "branch-continuity: PASS" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("Q", [10.0, 1.0000001])
+def test_branch_continuity_catches_planted_mismatch(Q, monkeypatch):
+    monkeypatch.setattr(verify, "_upper_vec",
+                        lambda p, x, y: _upper_vec(p, x, y) + 1e-6)
+    r = verify.check_branch_continuity(new_params(Q, 1))
+    assert not r.passed
+    assert r.worst_slack == pytest.approx(-1e-6, rel=1e-3)
 
 
 def test_main_inequality_M_refuses_short_run(p102, monkeypatch):
