@@ -374,8 +374,10 @@ def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
             doc["weight"], p.N, "weight", "leaf", float, tuple, max_depth))
         E = DyadicSet(p.N, _tree_from_json(
             doc["set"], p.N, "set", "set", _set_leaf, make_set_node, max_depth))
+        validate_weight(w, max_depth)
+        validate_set(E, max_depth)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed pair document: {exc!r}") from None
-    validate_weight(w, max_depth)
-    validate_set(E, max_depth)
+    except RecursionError:      # the walks recurse once per tree level
+        raise ValueError(f"pair tree too deep to walk (max_depth={max_depth})") from None
     return p.Q, p.d, w, E

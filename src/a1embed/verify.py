@@ -8,10 +8,10 @@ Three kinds of evidence, none of which trusts the formulas being tested:
   * property suites: concavity, rescaling monotonicity, the smooth
     majorant, branch continuity, homogeneity, wedge domination, and
     the weak-type bound on explicit weights;
-  * a brute-force oracle that enumerates every grid-valued weight of
-    characteristic <= Q on a small dyadic tree, pruned level by level,
-    and tabulates the best captured mass per (set measure, average)
-    bucket, in exact rational arithmetic.
+  * an exhaustive oracle over every grid-valued weight of characteristic
+    <= Q on a small dyadic tree: a max-plus dynamic program over subtree
+    states (leaf sum, min leaf), with back-pointers to lex-smallest
+    witnesses, tabulates the best mass per (set measure, average), exactly.
 
 Randomness is counter-based (Philox keyed by (seed, stream)) over a
 fixed chunk plan, so a report depends only on its arguments.
@@ -40,7 +40,7 @@ from .params import DomainError, Params, endpoint_exponent, osekowski_p_max
 CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
 MAX_WAVES = 4096
-ORACLE_CAP = 2_000_000  # oracle leaves N^depth, and combinations per level
+ORACLE_CAP = 2_000_000  # leaves N^depth, states^N per level, N^(2 depth)
 
 
 @dataclass(frozen=True)
@@ -427,10 +427,12 @@ class OracleTable:
 
     def to_json(self) -> dict:
         rows = []
+        shared = {id(b.leaves): b.leaves for b in self.buckets.values()}
+        floats = {i: [float(v) for v in t] for i, t in shared.items()}
         for (x, y), b in sorted(self.buckets.items()):
             rows.append({"x": float(x), "y": float(y), "m": 1.0,
                          "value": float(b.value),
-                         "leaves": [float(v) for v in b.leaves], "j": b.j})
+                         "leaves": floats[id(b.leaves)], "j": b.j})
         return {"depth": self.depth, "n": self.n,
                 "grid": [float(v) for v in self.grid], "buckets": rows}
 
@@ -487,18 +489,44 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
                                                 for k in range(1, depth + 1))))
 
 
+def _pair(level: dict, bound: Fraction, floor: float) -> tuple[dict, list]:
+    """Two subtrees of one level side by side, by max-plus convolution:
+    `level` maps (leaf sum, min leaf) to, per j, (best top-j sum T, witness
+    rank), and a joined (S, m) stays when S <= bound * min(m, floor).
+    Entries T * W - (left rank * K + right rank) make `max` take the largest
+    T, then the smallest witness.  Returns the joined states, re-ranked, and
+    the table rank -> (left rank, right rank)."""
+    qn, qd = bound.numerator, bound.denominator
+    K = 1 + max(r for E in level.values() for _, r in E)
+    W = K * K
+    right = [(S, m, [t * W - r for t, r in E]) for (S, m), E in level.items()]
+    out: dict = {}
+    for (S, m), E in level.items():
+        left = [t * W - r * K for t, r in E]
+        n = len(left)
+        for Sr, mr, er in right:
+            state = (S + Sr, min(m, mr))
+            if state[0] * qd <= qn * min(state[1], floor):
+                acc = out.setdefault(state, [-math.inf] * (2 * n - 1))
+                for j, e in enumerate(er):
+                    acc[j:j + n] = map(max, acc[j:j + n], map(e.__add__, left))
+    keys = sorted({-s % W for acc in out.values() for s in acc})
+    rank = {k: i for i, k in enumerate(keys)}
+    return ({state: [(-t, rank[k]) for t, k in (divmod(-s, W) for s in acc)]
+             for state, acc in out.items()}, [divmod(k, K) for k in keys])
+
+
 def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     """Exhaustive supremum over grid-valued weights on a depth-`depth` tree.
 
-    Trees grow level by level from (leaves, sum, min) triples, a node kept
-    only when sum <= Q * leaves * min (the characteristic is the largest
-    average/minimum over nodes); the root level, in the order of
-    itertools.product(grid, repeat=N^depth), keeps minimum 1.  For each
-    weight the best set of measure j/N^depth is the j heaviest leaves.
-    Buckets key on (set measure, average rounded UP to a step of
-    0.05(Q-1)), which keeps bucket values below the closed form at the
-    bucket label.  Exact rationals throughout.  Needs depth >= 1;
-    ORACLE_CAP bounds N^depth, the combinations each level tries, and
+    A node of N = 2^d children is built in d halvings (`_pair`) and kept
+    only when sum <= Q * leaves * min, which loses nothing (the
+    characteristic is the largest average/minimum over nodes); a half node
+    is cut by its node's bound, and the root keeps min 1.  Buckets key on
+    (measure j/N^depth, average rounded UP to a step of 0.05(Q-1)), so the
+    closed form at the label dominates; each keeps the lex-smallest leaf
+    tuple among its maximizers, the first in itertools.product order.
+    Needs depth >= 1; ORACLE_CAP bounds N^depth, states^N per level and
     N^(2 depth), the size of the witness output.
     """
     _check_depth(p, depth)
@@ -507,38 +535,38 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     grid = sorted({Fraction(v) for v in value_grid})
     if Fraction(1) not in grid or any(v < 1 for v in grid):
         raise ValueError("value grid must contain 1 and only values >= 1")
-    Qf = Fraction(p.Q)
-    level = [((v,), v, v) for v in grid]
+    N, Qf = p.N, Fraction(p.Q)
+    _cap(len(grid), N, "combinations at level 1")
+    _cap(N, 2 * depth, "witness leaves")    # N^depth leaves per set size
+    D = math.lcm(*(v.denominator for v in grid))    # integer sums over D
+    level = {(a, a): [(0, i), (a, i)] for i, a in enumerate(int(v * D) for v in grid)}
+    tabs = []           # tabs[k - 1]: rank -> (left, right) of halving k
     for lv in range(1, depth + 1):
-        _cap(len(level), p.N, f"combinations at level {lv}")
-        bound = Qf * p.N**lv
-        level = ((sum((c[0] for c in kids), ()), s, m)
-                 for kids in itertools.product(level, repeat=p.N)
-                 for s, m in [(sum(c[1] for c in kids),
-                               min(c[2] for c in kids))]
-                 if s <= bound * m)
-        if lv < depth:      # the root streams, reading the last bound
-            level = list(level)
-    _cap(p.N, 2 * depth, "witness leaves")  # N^depth leaves per set size
+        if lv > 1:
+            _cap(len(level), N, f"combinations at level {lv}")
+        for _ in range(p.d):    # the root's min is 1
+            level, tab = _pair(level, Qf * N**lv, D if lv == depth else math.inf)
+            tabs.append(tab)
+    memo = {(0, i): (v,) for i, v in enumerate(grid)}
 
-    leaves = p.N**depth
-    h = (Qf - 1) / 20 if Qf > 1 else None
-    table = OracleTable(depth=depth, n=p.N, grid=tuple(grid))
-    one = Fraction(1)
-    for assignment, total, low in level:
-        if low != one:
+    def unfold(k: int, r: int) -> tuple:
+        if (k, r) not in memo:
+            memo[k, r] = sum((unfold(k - 1, c) for c in tabs[k - 1][r]), ())
+        return memo[k, r]
+
+    leaves, h = N**depth, (Qf - 1) / 20     # at Q = 1 every y is 1
+    best: dict = {}
+    for (S, m), E in level.items():
+        if m != D:
             continue
-        y = total / leaves
-        ylabel = one if h is None or y == 1 else 1 + math.ceil((y - 1) / h) * h
-        acc = Fraction(0)
-        for j, v in enumerate(sorted(assignment, reverse=True), 1):
-            acc += v
-            key = (Fraction(j, leaves), ylabel)
-            val = acc / leaves
-            cur = table.buckets.get(key)
-            if cur is None or val > cur.value:
-                table.buckets[key] = OracleBucket(val, assignment, j)
-    return table
+        y = Fraction(S, D * leaves)
+        ylabel = Fraction(1) if y == 1 else 1 + math.ceil((y - 1) / h) * h
+        for j, (t, r) in enumerate(E[1:], 1):
+            best[j, ylabel] = max(best.get((j, ylabel), (-1, 0)), (t, -r))
+    return OracleTable(depth, N, tuple(grid), {
+        (Fraction(j, leaves), ylabel): OracleBucket(
+            Fraction(t, D * leaves), unfold(len(tabs), -r), j)
+        for (j, ylabel), (t, r) in best.items()})
 
 
 def oracle_vs_closed_form(table: OracleTable, p: Params,

@@ -184,6 +184,15 @@ def test_oracle_json(capsys):
     assert "oracle-vs-closed-form: PASS" in err
 
 
+def test_oracle_default_grid_at_depth_three(capsys):
+    # the default grid's 10 values: 10^8 leaf assignments, 4 corners
+    rc, out, err = run(capsys, "oracle", "--Q", "2", "--d", "1", "--depth", "3")
+    assert rc == 0
+    assert out.splitlines()[1] == "x,y,m,value,witness_id"
+    assert err.startswith("oracle-vs-closed-form: PASS")
+    assert "4 corner checks" in err
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_oracle_depth_below_one(capsys, depth):
     rc, out, err = run(capsys, "oracle", "--Q", "2", "--d", "1", "--depth",

@@ -335,6 +335,13 @@ def test_json_decoder_stops_at_the_depth_cap():
         pair_from_json(doc, max_depth=4)
 
 
+def test_json_decoder_names_a_depth_past_the_recursion_limit():
+    # max_depth admits the tree, the recursive walks cannot follow it
+    doc = dict(GOOD_DOC, weight=_nested(1500))
+    with pytest.raises(ValueError, match="too deep .*max_depth=2000"):
+        pair_from_json(doc, max_depth=2000)
+
+
 def unique_nodes(tree) -> int:
     seen = set()
     stack = [tree]

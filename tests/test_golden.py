@@ -67,6 +67,8 @@ CASES = [argv.split() for argv in CLOSED_FORM + EDGE] + [
     ["oracle", "--Q", "2", "--d", "1", "--depth", "2"],
     ["oracle", "--Q", "10", "--d", "2", "--depth", "1"],
     ["oracle", "--Q", "1", "--d", "2", "--depth", "2", "--format", "json"],
+    # one value, 256 buckets of 256 leaves: the deep end of the witness output
+    ["oracle", "--Q", "1", "--d", "1", "--depth", "8", "--format", "json"],
     ["verify", "--Q", "10", "--d", "2", "--suite", "weak-type"],
     ["verify", "--Q", "10", "--d", "6", "--suite", "weak-type"],
 ] + [
@@ -149,6 +151,8 @@ GOLDEN = {
         "31736452190bf9cecb0ba525abaaddf2385453c094594eb4d138c2bf493f9b2d",
     "oracle --Q 1 --d 2 --depth 2 --format json":
         "84bbb86ebcc4383b5d890667b37f45c62022c602bb5e63c6a480329368e2d0cb",
+    "oracle --Q 1 --d 1 --depth 8 --format json":
+        "6ae37063f096eb4eda81a1b13302f0ef6f258e0de2e59ce13a3059639f21775a",
     "verify --Q 10 --d 2 --suite weak-type":
         "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
     "verify --Q 10 --d 6 --suite weak-type":

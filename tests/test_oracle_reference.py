@@ -4,8 +4,9 @@
 in `itertools.product(grid, repeat=N**depth)` order, folded into a tree,
 kept when its minimum is 1 and its A1 characteristic (from `dyadic`) is at
 most Q, and tabulated with the j heaviest leaves as the set (ties to the
-lower index).  `brute_force_oracle` builds admissible subtrees level by
-level instead; the two must agree on every bucket, witness and output.
+lower index).  `brute_force_oracle` is a max-plus dynamic program over
+subtree states instead; the two must agree on every bucket, witness and
+output.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a1embed import DyadicWeight, a1_characteristic, new_params
 from a1embed.verify import (
@@ -70,14 +72,7 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("Q,d,depth,spec,size", CONFIGS,
-                         ids=[f"Q{c[0]}-d{c[1]}-depth{c[2]}-grid{c[4]}"
-                              for c in CONFIGS])
-def test_oracle_matches_reference_enumeration(Q, d, depth, spec, size):
-    p = new_params(Q, d)
-    grid = (default_value_grid(p, depth, spec) if isinstance(spec, int)
-            else list(spec))
-    assert len(grid) == size
+def assert_same_oracle(p, depth, grid):
     got = brute_force_oracle(p, depth, grid)
     want = reference_oracle(p, depth, grid)
     assert got.grid == want.grid
@@ -88,3 +83,26 @@ def test_oracle_matches_reference_enumeration(Q, d, depth, spec, size):
     assert got.to_csv() == want.to_csv()
     assert (oracle_vs_closed_form(got, p).to_json()
             == oracle_vs_closed_form(want, p).to_json())
+
+
+@pytest.mark.parametrize("Q,d,depth,spec,size", CONFIGS,
+                         ids=[f"Q{c[0]}-d{c[1]}-depth{c[2]}-grid{c[4]}"
+                              for c in CONFIGS])
+def test_oracle_matches_reference_enumeration(Q, d, depth, spec, size):
+    p = new_params(Q, d)
+    grid = (default_value_grid(p, depth, spec) if isinstance(spec, int)
+            else list(spec))
+    assert len(grid) == size
+    assert_same_oracle(p, depth, grid)
+
+
+# values on a coarse lattice, so equal sums, equal top-j sums and tied
+# witnesses are common: the tie-break is what this exercises
+@settings(max_examples=60, deadline=None)
+@given(Q=st.sampled_from([1, 1.5, 2, 3, 10]),
+       shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+       rest=st.sets(st.fractions(min_value=1, max_value=8, max_denominator=4)
+                    .filter(lambda v: v != 1), min_size=1, max_size=3))
+def test_oracle_matches_reference_on_random_grids(Q, shape, rest):
+    d, depth = shape
+    assert_same_oracle(new_params(Q, d), depth, [F(1), *rest])

@@ -1,6 +1,7 @@
 """Samplers, property suites, weak-type endpoint, and the brute-force oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,20 @@ def test_oracle_witness_rebuild(p21):
         # the bucket label rounds the true average up
         assert st.y <= float(key[1]) + 1e-12
         assert float(st.char) <= p21.Q
+
+
+@pytest.mark.parametrize("Q,d,depth", [(2, 1, 4), (2, 2, 2)])
+def test_oracle_witnesses_refold_exactly(Q, d, depth):
+    # 1, N eta and 1 + N(Q-1) at d = 1; 16 leaves, 3^16 assignments, each
+    p = new_params(Q, d)
+    table = brute_force_oracle(p, depth, [1, Fraction(3, 2), 3])
+    assert oracle_vs_closed_form(table, p).passed
+    h = (Fraction(Q) - 1) / 20
+    for key, b in table.buckets.items():
+        st = stats(*table.witness_pair(key))
+        label = 1 if st.y == 1 else 1 + math.ceil((st.y - 1) / h) * h
+        assert (st.x, label) == key and st.value == b.value
+        assert st.m == 1 and st.char <= Q
 
 
 def test_oracle_grid_validation(p21):
