@@ -150,9 +150,7 @@ def cmd_oracle(p: Params, args) -> int:
     print(f"oracle-vs-closed-form: {status} "
           f"worst_slack={_fmt(bridge.worst_slack)} ({bridge.notes})",
           file=sys.stderr if args.out is None else sys.stdout)
-    if not bridge.passed:
-        return 1
-    return 0
+    return 0 if bridge.passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

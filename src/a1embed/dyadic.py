@@ -27,6 +27,7 @@ All quantities are normalized to the root cube having measure 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -130,8 +131,8 @@ def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
 
 
 def _check_weight_leaf(v) -> None:
-    if not v > 0:
-        raise ValueError(f"leaf value {v!r} is not positive")
+    if v is True or not 0 < v < math.inf:       # False fails 0 < v
+        raise ValueError(f"leaf value {v!r} is not finite and positive")
 
 
 def _check_set_leaf(v) -> None:
@@ -347,6 +348,12 @@ def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
     return walk(doc, 0)
 
 
+def _number(v) -> float:
+    if type(v) not in (float, int):     # refuses bool, str and the rest
+        raise ValueError(f"weight leaf {v!r} is not a JSON number")
+    return float(v)
+
+
 def _set_leaf(marker) -> bool:
     if marker not in ("full", "empty"):
         raise ValueError(f"bad set marker {marker!r}")
@@ -371,12 +378,12 @@ def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
     try:
         p = new_params(doc["Q"], doc["d"])
         w = DyadicWeight(p.N, _tree_from_json(
-            doc["weight"], p.N, "weight", "leaf", float, tuple, max_depth))
+            doc["weight"], p.N, "weight", "leaf", _number, tuple, max_depth))
         E = DyadicSet(p.N, _tree_from_json(
             doc["set"], p.N, "set", "set", _set_leaf, make_set_node, max_depth))
         validate_weight(w, max_depth)
         validate_set(E, max_depth)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed pair document: {exc!r}") from None
     except RecursionError:      # the walks recurse once per tree level
         raise ValueError(f"pair tree too deep to walk (max_depth={max_depth})") from None

@@ -58,6 +58,7 @@ from .params import (
     DomainError,
     InvariantError,
     Params,
+    at_least,
     clamp_omega,
 )
 
@@ -71,13 +72,13 @@ class ExtremalPair:
 
 def _finalize(p: Params, w: DyadicWeight, E: DyadicSet) -> ExtremalPair:
     st = stats(w, E)
-    if not float(st.char) <= p.Q + 1e-9:
+    if not at_least(p.Q, float(st.char)):
         raise InvariantError(f"characteristic {float(st.char)} > Q = {p.Q}")
     if st.m != 1:
         raise InvariantError(f"minimum {st.m!r} not normalized to 1")
     x, y = float(st.x), float(st.y)
     bound = eval_B(p, x, min(y, p.Q), 1.0)
-    if not float(st.value) <= bound + 1e-9:
+    if not at_least(bound, float(st.value)):
         raise InvariantError(f"captured mass {float(st.value)} > B = {bound}")
     return ExtremalPair(w, E, st)
 
@@ -110,7 +111,7 @@ def _unit(p: Params, pair: ExtremalPair, op: str):
     """
     if pair.w.n != p.N:
         raise DomainError(f"{op}: pair fan-out does not match params")
-    if pair.achieved.m != 1 or float(pair.achieved.char) > p.Q + 1e-9:
+    if pair.achieved.m != 1 or not at_least(p.Q, float(pair.achieved.char)):
         raise DomainError(f"{op} inputs must have m = 1 and char <= Q")
     return Fraction(1) if isinstance(pair.achieved.m, Fraction) else 1.0
 
@@ -123,7 +124,7 @@ def _push_down(p: Params, w: DyadicWeight, E: DyadicSet, one):
 
 def apply_T(p: Params, pair: ExtremalPair) -> ExtremalPair:
     """Push a y = Q pair one level down; captured mass scales by exactly eta."""
-    if abs(float(pair.achieved.y) - p.Q) > 1e-9:
+    if not (at_least(p.Q, pair.achieved.y) and at_least(pair.achieved.y, p.Q)):
         raise DomainError("apply_T needs a pair with average exactly Q")
     w, E = _push_down(p, pair.w, pair.E, _unit(p, pair, "apply_T"))
     return _finalize(p, w, E)

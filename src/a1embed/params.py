@@ -27,6 +27,13 @@ CONCAT_DIGITS_MAX = 40
 CORNER_K_MAX = 32
 
 
+def at_least(lhs, rhs, tol: float = 1e-9, slack=None):
+    """lhs >= rhs up to tol, the one pass rule: slack = lhs - rhs (or the
+    caller's rounding of it) >= -tol * max(1, |lhs|, |rhs|), row by row."""
+    s = lhs - rhs if slack is None else slack
+    return (s >= -tol) | (s >= -tol * abs(lhs)) | (s >= -tol * abs(rhs))
+
+
 class DomainError(ValueError):
     """A point lies outside the domain an operation is defined on."""
 
@@ -57,8 +64,9 @@ def new_params(Q: float, d: int) -> Params:
         raise ValueError(f"d must be an integer, got {d!r}")
     if d < 1 or d > D_MAX:
         raise ValueError(f"d must be in [1, {D_MAX}], got {d}")
-    if not (isinstance(Q, (int, float)) and math.isfinite(Q)):
-        raise ValueError(f"Q must be finite, got {Q!r}")
+    if (not isinstance(Q, (int, float)) or isinstance(Q, bool)
+            or not math.isfinite(Q)):
+        raise ValueError(f"Q must be a finite number, got {Q!r}")
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     Q = float(Q)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
@@ -35,7 +35,8 @@ from .dyadic import (
     make_set_node,
     value_distribution,
 )
-from .params import DomainError, Params, endpoint_exponent, osekowski_p_max
+from .params import DomainError, Params, at_least, endpoint_exponent, \
+    osekowski_p_max
 
 CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
@@ -56,11 +57,6 @@ class CheckReport:
         return asdict(self)
 
 
-def _report(suite: str, samples: int, slack: float, witness, tol: float,
-            notes: str = "") -> CheckReport:
-    return CheckReport(suite, samples, slack, witness, slack >= -tol, notes)
-
-
 def _gen(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
@@ -75,32 +71,26 @@ def _row(*cols: np.ndarray) -> Callable[[int], tuple]:
     return lambda i: tuple(float(c[i]) for c in cols)
 
 
-def _sweep(seed: int, chunks: Iterable[tuple[int, int, int]],
-           draw: Callable) -> tuple[float, Any, int, float]:
-    """Fold a chunk plan into (worst slack, witness, rows, relative slack).
+def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
+           draw: Callable, tol: float, notes: str = "") -> CheckReport:
+    """Fold a chunk plan into one report.
 
     For each (stream, size, key) of the plan, draw(generator, size, key)
-    returns the chunk's slacks, a function giving row i's witness, and a
-    per-row scale (1 where the slack is absolute).  The worst slack is the
-    first minimum in plan order; the relative slack is min(slack / scale).
+    returns the chunk's slacks, a function giving row i's witness, and the
+    two sides the slacks are judged against (`at_least`).  The worst slack
+    is the first minimum in plan order.
     """
-    worst, witness, rows, rel = math.inf, None, 0, math.inf
+    worst, witness, rows, ok = math.inf, None, 0, True
     for stream, size, key in chunks:
-        slacks, row, scale = draw(_gen(seed, stream), size, key)
+        slacks, row, lhs, rhs = draw(_gen(seed, stream), size, key)
         if slacks.size == 0:
             continue
         rows += slacks.size
         i = int(np.argmin(slacks))
         if slacks[i] < worst:
             worst, witness = float(slacks[i]), row(i)
-        rel = min(rel, float(np.min(slacks / scale)))
-    return worst, witness, rows, rel
-
-
-def _swept(suite: str, swept: tuple, tol: float,
-           notes: str = "") -> CheckReport:
-    worst, witness, rows, rel = swept
-    return CheckReport(suite, rows, worst, witness, rel >= -tol, notes)
+        ok = ok and bool(at_least(lhs, rhs, tol, slacks).all())
+    return CheckReport(suite, rows, worst, witness, ok, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
         tally[1] += c
         tally[2] += int(ok_order.sum())
         tally[3] += int((xhat >= 0).sum())
-        return lhs - rhs, _row(*cols), 1.0
+        return lhs - rhs, _row(*cols), lhs, rhs
 
     def waves():
         for wave in range(MAX_WAVES):
@@ -149,14 +139,14 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
             for stream in range(wave * WAVE, (wave + 1) * WAVE):
                 yield stream, CHUNK, 0
 
-    swept = _sweep(seed, waves(), draw)
+    report = _sweep("main-inequality-M", seed, waves(), draw, tol)
     admitted, raw, n_order, n_hat = tally
     if admitted < n_samples:
         raise DomainError(f"main inequality sampler admitted {admitted} of "
                           f"{n_samples} requested samples in {raw} draws")
-    notes = (f"constraint xt<=x implies xhat>=0 and is the one that binds: "
-             f"raw pass rates xt<=x {n_order / raw:.4f}, xhat>=0 {n_hat / raw:.4f}")
-    return _swept("main-inequality-M", swept, tol, notes)
+    return replace(report, notes=(
+        f"constraint xt<=x implies xhat>=0 and is the one that binds: "
+        f"raw pass rates xt<=x {n_order / raw:.4f}, xhat>=0 {n_hat / raw:.4f}"))
 
 
 def check_main_inequality_B(p: Params, n_samples: int = 100_000,
@@ -188,15 +178,15 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
         xbar = xs.mean(axis=1)
         ybar = ys.mean(axis=1)
         child = _B_vec(p, xs.ravel(), ys.ravel(), ms.ravel()).reshape(c, N)
-        slacks = _B_vec(p, xbar, ybar, np.ones(c)) - child.mean(axis=1)
-        return slacks, lambda i: {"stratum": n_low,
-                                  "x": [float(v) for v in xs[i]],
-                                  "y": [float(v) for v in ys[i]],
-                                  "m": [float(v) for v in ms[i]]}, 1.0
+        lhs, rhs = _B_vec(p, xbar, ybar, np.ones(c)), child.mean(axis=1)
+        return lhs - rhs, lambda i: {"stratum": n_low,
+                                     "x": [float(v) for v in xs[i]],
+                                     "y": [float(v) for v in ys[i]],
+                                     "m": [float(v) for v in ms[i]]}, lhs, rhs
 
     plan = itertools.chain.from_iterable(_quota(per, n_low)
                                          for n_low in range(1, N + 1))
-    return _swept("main-inequality-B", _sweep(seed, plan, draw), tol,
+    return _sweep("main-inequality-B", seed, plan, draw, tol,
                   f"strata n_low=1..{N}")
 
 
@@ -235,16 +225,14 @@ def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
         lhs = _wedge_vec(p, k, x, y)
         rhs = ((N - 1) / N * _wedge_vec(p, k, xt, yt)
                + yhat / (N * Q) * _wedge_vec(p, k, xhat, np.full(c, Q)))
-        # both sides grow like (N eta)^k; pass or fail on the relative slack
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         return lhs - rhs, lambda i: {
             "k": k, "x": float(x[i]), "y": float(y[i]), "xt": float(xt[i]),
             "yt": float(yt[i]), "xhat": float(xhat[i]),
-            "yhat": float(yhat[i])}, scale
+            "yhat": float(yhat[i])}, lhs, rhs
 
     plan = itertools.chain.from_iterable(_quota(per, k)
                                          for k in range(k_max + 1))
-    return _swept("wedge", _sweep(seed, plan, draw), tol,
+    return _sweep("wedge", seed, plan, draw, tol,
                   f"k=0..{k_max}, xhat capped at N^-k")
 
 
@@ -264,11 +252,11 @@ def check_concavity(p: Params, n_samples: int = 10_000, seed: int = 0,
         lam = g.uniform(0.0, 1.0, c)
         xm = lam * x1 + (1 - lam) * x2
         ym = lam * y1 + (1 - lam) * y2
-        slacks = (_M_vec(p, xm, ym)
-                  - lam * _M_vec(p, x1, y1) - (1 - lam) * _M_vec(p, x2, y2))
-        return slacks, _row(x1, y1, x2, y2, lam), 1.0
+        lhs = _M_vec(p, xm, ym)
+        a, b = lam * _M_vec(p, x1, y1), (1 - lam) * _M_vec(p, x2, y2)
+        return lhs - a - b, _row(x1, y1, x2, y2, lam), lhs, a + b
 
-    return _swept("concavity", _sweep(seed, _quota(n_samples), draw), tol)
+    return _sweep("concavity", seed, _quota(n_samples), draw, tol)
 
 
 def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
@@ -281,10 +269,10 @@ def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
         y = g.uniform(1.0, p.Q, c)
         t2 = 1 + (y - 1) * g.uniform(0.0, 1.0, c)      # keeps y/t2 >= 1
         t1 = 1 + (t2 - 1) * g.uniform(0.0, 1.0, c)
-        slacks = t1 * _M_vec(p, x, y / t1) - t2 * _M_vec(p, x, y / t2)
-        return slacks, _row(x, y, t1, t2), 1.0
+        lhs, rhs = t1 * _M_vec(p, x, y / t1), t2 * _M_vec(p, x, y / t2)
+        return lhs - rhs, _row(x, y, t1, t2), lhs, rhs
 
-    return _swept("t-monotonicity", _sweep(seed, _quota(n_samples), draw), tol)
+    return _sweep("t-monotonicity", seed, _quota(n_samples), draw, tol)
 
 
 def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
@@ -297,20 +285,20 @@ def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
         np.linspace(0.0, 1.0, half),
         np.geomspace(1e-12, 1.0, n_samples - half),
     ])
-    slacks = p.Q * np.power(xs, p.epsilon) - _f_vec(p, xs)
-    i = int(np.argmin(slacks))
-    worst, witness = float(slacks[i]), float(xs[i])
 
-    ks = np.arange(0, 41)
-    nodes = np.power(float(p.N), -ks.astype(float))
-    fn = _f_vec(p, nodes)
+    def draw(g, c, _):
+        lhs, rhs = p.Q * np.power(xs, p.epsilon), _f_vec(p, xs)
+        return lhs - rhs, lambda i: float(xs[i]), lhs, rhs
+
+    nodes = np.power(float(p.N), -np.arange(41.0))
     fs = p.Q * np.power(nodes, p.epsilon)
-    rel = np.max(np.abs(fn - fs) / fs)
+    rel = np.max(np.abs(_f_vec(p, nodes) - fs) / fs)
     notes = f"node agreement max rel err {rel:.3e} (k<=40)"
+    r = _sweep("smooth-bound", seed, [(0, n_samples, 0)], draw, tol, notes)
     if rel > 1e-12:
-        return CheckReport("smooth-bound", n_samples + 41, -math.inf,
-                           witness, False, notes + "; node identity violated")
-    return _report("smooth-bound", n_samples + 41, worst, witness, tol, notes)
+        r = replace(r, worst_slack=-math.inf, passed=False,
+                    notes=notes + "; node identity violated")
+    return replace(r, samples=n_samples + 41)
 
 
 def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
@@ -322,26 +310,28 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
     y = 1 + (p.Q - 1) * x
     # where y rounded below the line, one step up puts u = x(Q-1)/(y-1) <= 1
     y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, np.inf), y)
-    diff = np.abs(x + y - 1 - _upper_vec(p, x, y))
-    i = int(np.argmax(diff))
-    return _report("branch-continuity", n_samples, -float(diff[i]),
-                   float(x[i]), tol)
+
+    def draw(g, c, _):
+        lhs, rhs = x + y - 1, _upper_vec(p, x, y)
+        return -np.abs(lhs - rhs), lambda i: float(x[i]), lhs, rhs
+
+    return _sweep("branch-continuity", seed, [(0, n_samples, 0)], draw, tol)
 
 
 def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
                       tol: float = 1e-12) -> CheckReport:
     """B(x, ty, tm) = t B(x, y, m), relative error, default tol 1e-12."""
-    g = _gen(seed, 0)
-    x = g.uniform(0.0, 1.0, n_samples)
-    m = g.uniform(0.5, 2.0, n_samples)
-    y = m * (1 + (p.Q - 1) * g.uniform(0.0, 1.0, n_samples))
-    t = g.uniform(0.5, 2.0, n_samples)
-    b1 = _B_vec(p, x, t * y, t * m)
-    b2 = t * _B_vec(p, x, y, m)
-    rel = np.abs(b1 - b2) / np.maximum(np.abs(b2), 1e-300)
-    i = int(np.argmax(rel))
-    return _report("homogeneity", n_samples, -float(rel[i]),
-                   (float(x[i]), float(y[i]), float(m[i]), float(t[i])), tol)
+    def draw(g, c, _):
+        x = g.uniform(0.0, 1.0, c)
+        m = g.uniform(0.5, 2.0, c)
+        y = m * (1 + (p.Q - 1) * g.uniform(0.0, 1.0, c))
+        t = g.uniform(0.5, 2.0, c)
+        b1 = _B_vec(p, x, t * y, t * m)
+        b2 = t * _B_vec(p, x, y, m)
+        rel = np.abs(b1 - b2) / np.maximum(np.abs(b2), 1e-300)
+        return -rel, _row(x, y, m, t), 0.0, 0.0     # relative: scale 1
+
+    return _sweep("homogeneity", seed, [(0, n_samples, 0)], draw, tol)
 
 
 def check_wedge_domination(p: Params, k_max: int = 10, n_samples: int = 10_000,
@@ -354,15 +344,15 @@ def check_wedge_domination(p: Params, k_max: int = 10, n_samples: int = 10_000,
     y = np.linspace(1.0, p.Q, side)
     X, Y = (a.ravel() for a in np.meshgrid(x, y))
     m = _M_vec(p, X, Y)
-    best: tuple[float, Any] = (math.inf, None)
-    for k in range(1, k_max + 1):
-        slacks = _wedge_vec(p, k, X, Y) - m
-        i = int(np.argmin(slacks))
-        s = float(slacks[i])
-        if s < best[0]:
-            best = (s, {"k": k, "x": float(X[i]), "y": float(Y[i])})
-    return _report("wedge-domination", side * side * k_max, best[0], best[1],
-                   tol, f"k=1..{k_max} on a {side}x{side} grid")
+
+    def draw(g, c, k):
+        wedge = _wedge_vec(p, k, X, Y)
+        return wedge - m, lambda i: {"k": k, "x": float(X[i]),
+                                     "y": float(Y[i])}, wedge, m
+
+    plan = ((0, X.size, k) for k in range(1, k_max + 1))
+    return _sweep("wedge-domination", seed, plan, draw, tol,
+                  f"k=1..{k_max} on a {side}x{side} grid")
 
 
 def check_weak_type(w: DyadicWeight, p_exp: float,
@@ -394,8 +384,9 @@ def check_weak_type(w: DyadicWeight, p_exp: float,
         if lvl > sup:
             sup = lvl
             witness = (float(v), float(tail))
-    return _report("weak-type", len(values), integral - sup, witness, tol,
-                   f"p={p_exp:.6g}, endpoint {p_star:.6g}")
+    return CheckReport("weak-type", len(values), integral - sup, witness,
+                       at_least(integral, sup, tol),
+                       f"p={p_exp:.6g}, endpoint {p_star:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +474,7 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
     _check_depth(p, depth)
     if grid_size < 2:
         raise DomainError(f"oracle grid needs grid_size >= 2, got {grid_size}")
+    _cap(grid_size if p.Q > 1 else 1, p.N, "combinations at level 1")
     ladder = {1 + j * (Fraction(p.Q) - 1) * p.N / Fraction(grid_size - 1)
               for j in range(1, grid_size)}
     return sorted(ladder.union({Fraction(1)}, *(_corner_values(p, k)
@@ -573,13 +565,14 @@ def oracle_vs_closed_form(table: OracleTable, p: Params,
                           tol: float = 1e-9) -> CheckReport:
     """Two-sided bridge: every bucket below the closed form, and corner
     buckets reaching Q eta^k whenever the grid can express them."""
-    worst = math.inf
-    witness = None
+    worst, witness, ok = math.inf, None, True
     for (x, y), b in sorted(table.buckets.items()):
-        s = eval_B(p, float(x), float(y), 1.0) - float(b.value)
+        bound, value = eval_B(p, float(x), float(y), 1.0), float(b.value)
+        s = bound - value
+        ok = ok and at_least(bound, value, tol)
         if s < worst:
             worst, witness = s, {"direction": "upper", "x": float(x),
-                                 "y": float(y), "value": float(b.value)}
+                                 "y": float(y), "value": value}
     corners = 0
     if p.Q > 1:
         Qf = Fraction(p.Q)
@@ -588,16 +581,18 @@ def oracle_vs_closed_form(table: OracleTable, p: Params,
             if not _corner_values(p, k) <= set(table.grid):
                 continue
             key = (Fraction(1, p.N**k), Qf)
-            target = Qf * eta**k
+            target = float(Qf * eta**k)
             got = table.buckets.get(key)
-            s = (float(got.value) - float(target)) if got else -math.inf
+            value = float(got.value) if got else None
+            s = (value - target) if got else -math.inf
             corners += 1
+            ok = ok and got is not None and at_least(value, target, tol)
             if s < worst:
                 worst, witness = s, {"direction": "lower", "k": k,
-                                     "expected": float(target),
-                                     "got": float(got.value) if got else None}
-    return _report("oracle-vs-closed-form", len(table.buckets), worst, witness,
-                   tol, f"{len(table.buckets)} buckets, {corners} corner checks")
+                                     "expected": target, "got": value}
+    return CheckReport("oracle-vs-closed-form", len(table.buckets), worst,
+                       witness, ok, f"{len(table.buckets)} buckets, "
+                       f"{corners} corner checks")
 
 
 # ---------------------------------------------------------------------------
@@ -607,19 +602,18 @@ def _weak_type_suite(p: Params, n_samples: Optional[int] = None, seed: int = 0,
                      tol: float = 1e-9) -> CheckReport:
     from .extremize import apply_T, build_corner
     pexp = osekowski_p_max(p)
-    worst = math.inf
-    witness = None
-    total = 0
+    worst, witness, total, ok = math.inf, None, 0, True
     pair = build_corner(p, 0, exact=True)
     for k in range(0, 9):
         if k:
             pair = apply_T(p, pair)     # corner k from corner k-1, one T step
         r = check_weak_type(pair.w, pexp, tol)
         total += r.samples
+        ok = ok and r.passed
         if r.worst_slack < worst:
             worst, witness = r.worst_slack, {"k": k, "at": r.worst_witness}
-    return _report("weak-type", total, worst, witness, tol,
-                   f"corner pairs k=0..8 at p={pexp:.6g}")
+    return CheckReport("weak-type", total, worst, witness, ok,
+                       f"corner pairs k=0..8 at p={pexp:.6g}")
 
 
 SUITES: dict[str, Callable[..., CheckReport]] = {
@@ -639,6 +633,8 @@ SUITES: dict[str, Callable[..., CheckReport]] = {
 
 def run_suite(p: Params, name: str, n_samples: Optional[int] = None,
               seed: int = 0, tol: Optional[float] = None) -> list[CheckReport]:
+    if not 0 <= seed < 1 << 63:
+        raise DomainError(f"suites need a seed in [0, 2^63), got {seed}")
     if n_samples is not None and n_samples < 1:
         raise DomainError(f"suites need n_samples >= 1, got {n_samples}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):

@@ -208,6 +208,7 @@ def test_oracle_depth_below_one(capsys, depth):
     ("--Q", "1", "--d", "1", "--depth", "40"),    # one value, 2^40 leaves
     ("--Q", "1", "--d", "1", "--depth", "12", "--format", "json"),  # 2^24 out
     ("--Q", "2", "--d", "1", "--depth", "3000"),  # refused before the grid
+    ("--Q", "2", "--d", "1", "--depth", "1", "--grid", "100000"),  # likewise
 ], ids=" ".join)
 def test_oracle_size_refusal_is_fast(capsys, argv):
     start = time.perf_counter()
@@ -227,6 +228,50 @@ def test_oracle_bad_grid(capsys, grid):
     assert rc == 2
     assert out == ""
     assert err == f"error: oracle grid needs grid_size >= 2, got {grid}\n"
+
+
+@pytest.mark.parametrize("seed, rc", [
+    (2**63 - 1, 0),
+    (2**63, 2),         # 2^64 - 2 warned on a cast, 2^64 overflowed Philox
+    (-1, 2),
+])
+def test_verify_seed_range(capsys, seed, rc):
+    got, out, err = run(capsys, "verify", "--Q", "10", "--d", "2", "--suite",
+                        "concavity", "--seed", str(seed))
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert err == f"error: suites need a seed in [0, 2^63), got {seed}\n"
+    else:
+        assert "concavity: PASS" in out
+
+
+# Above Q ~ 1e7 the rounding of values near Q exceeded an absolute 1e-9 and
+# read as a violation; the rule's scale, max(1, |lhs|, |rhs|), absorbs it.
+@pytest.mark.parametrize("Q", ["1e7", "1e8", "1e10", "1e12"])
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_verify_passes_at_large_q(capsys, Q, d):
+    rc, out, _ = run(capsys, "verify", "--Q", Q, "--d", d, "--suite", "all",
+                     "--samples", "20000")
+    assert rc == 0, out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("Q", ["3e8", "7e9", "1e11"])
+def test_oracle_bridge_passes_at_large_q(capsys, Q):
+    rc, _, err = run(capsys, "oracle", "--Q", Q, "--d", "1", "--depth", "1")
+    assert rc == 0
+    assert err.startswith("oracle-vs-closed-form: PASS")
+
+
+@pytest.mark.parametrize("Q", [3e7, 1e8, 1e9, 1e12])
+@pytest.mark.parametrize("x, f", [(0.3, 0.8), (0.05, 0.95), (0.5, 0.2)])
+def test_extremize_passes_at_large_q(capsys, Q, x, f):
+    y = 1 + f * (Q - 1)
+    rc, out, err = run(capsys, "extremize", "--Q", repr(Q), "--d", "2",
+                       "--x", repr(x), "--y", repr(y), "--depth", "20")
+    assert rc == 0, err
+    assert json.loads(out)["achieved"]["char"] <= Q * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

@@ -1,6 +1,7 @@
 """Tree weights and sets: aggregates, maximal function, characteristic, JSON."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,9 @@ def test_validation_errors():
         validate_weight(DyadicWeight(4, (1.0, 1.0, 1.0)))
     with pytest.raises(ValueError):
         validate_weight(DyadicWeight(2, (1.0, -1.0)))
+    for leaf in (math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            validate_weight(DyadicWeight(2, (1.0, leaf)))
     deep = 1.0
     for _ in range(5):
         deep = (deep, deep)
@@ -317,8 +321,17 @@ GOOD_DOC = {"Q": 2.0, "d": 1, "weight": {"leaf": 1.0}, "set": {"set": "full"}}
     {"weight": _nested(600)},                           # past the recursion limit
     {"d": 40},                                          # above D_MAX
     {"d": 0},
+    # each of these reloaded, the first two with characteristic inf
+    {"weight": json.loads('{"leaf": Infinity}')},
+    {"weight": {"leaf": "inf"}},
+    {"weight": {"leaf": "1.5"}},
+    {"weight": {"leaf": True}},
+    {"Q": True},
+    {"weight": {"leaf": 10**400}},                      # OverflowError in float()
 ], ids=["missing-set", "children-not-a-list", "list-for-a-child",
-        "list-for-the-root", "600-deep", "d-40", "d-0"])
+        "list-for-the-root", "600-deep", "d-40", "d-0", "leaf-Infinity",
+        "leaf-string-inf", "leaf-string-number", "leaf-true", "Q-true",
+        "leaf-huge-int"])
 def test_json_malformed_documents_raise_value_error(change):
     assert pair_from_json(dict(GOOD_DOC))[0] == 2.0
     doc = {k: v for k, v in {**GOOD_DOC, **change}.items() if v is not None}

@@ -104,13 +104,19 @@ def test_corner_checks_once(p102, monkeypatch):
             assert len(calls) == 1, (k, exact)
 
 
+@pytest.mark.parametrize("Q", [10, 1e12])
+@pytest.mark.parametrize("raise_by", [1, Fraction(1, 10**6)])
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_corner_check_catches_a_faulty_step(p102, monkeypatch, k, exact):
-    # the heavy leaf doubled in the first push-down only: the one final
-    # check must still see it, since the characteristic is a max over subtrees
+def test_corner_check_catches_a_faulty_step(monkeypatch, k, exact, raise_by,
+                                            Q):
+    # the heavy leaf raised (doubled, or by a relative 1e-6) in the first
+    # push-down only: the one final check must still see it, since the
+    # characteristic is a max over subtrees, and at any Q
     import a1embed.extremize as ex
 
+    p = new_params(Q, 2)
+    build_corner(p, k, exact=exact)
     real = ex.scale_weight
     seen = []
 
@@ -119,11 +125,12 @@ def test_corner_check_catches_a_faulty_step(p102, monkeypatch, k, exact):
         if seen:
             return out
         seen.append(1)
-        return DyadicWeight(out.n, out.tree[:-1] + (2 * out.tree[-1],))
+        heavy = out.tree[-1] * (1 + type(out.tree[-1])(raise_by))
+        return DyadicWeight(out.n, out.tree[:-1] + (heavy,))
 
     monkeypatch.setattr(ex, "scale_weight", faulty)
-    with pytest.raises(InvariantError):
-        build_corner(p102, k, exact=exact)
+    with pytest.raises(InvariantError, match="characteristic"):
+        build_corner(p, k, exact=exact)
     assert seen
 
 

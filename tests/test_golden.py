@@ -14,6 +14,7 @@ purpose updates the hash and says why.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -176,3 +177,23 @@ def digest(argv) -> str:
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_is_byte_identical(argv):
     assert digest(argv) == GOLDEN[" ".join(argv)]
+
+
+# Recorded while the pass rule was an absolute 1e-9, under which main-B,
+# concavity, branch-continuity and wedge-domination failed here by rounding:
+# the relative rule moved the verdicts and no reported number.
+LARGE_Q_ARGV = ["verify", "--Q", "1e8", "--d", "2", "--suite", "all",
+                "--format", "json", "--samples", "20000"]
+LARGE_Q_WITHOUT_VERDICTS = \
+    "581e5f0714186e0f6b0659c3dcc817057b450e8e656750cb79e99c3b7deee1d7"
+
+
+def test_large_q_reports_keep_their_numbers():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(LARGE_Q_ARGV)
+    doc = json.loads(out.getvalue())
+    assert code == 0
+    assert all(r.pop("passed") for r in doc["reports"])
+    blob = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == LARGE_Q_WITHOUT_VERDICTS

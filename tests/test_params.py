@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from a1embed import (
     new_params,
     osekowski_p_max,
 )
+from a1embed.params import at_least
 
 # reference values computed once with 40-digit arithmetic
 EPS_10_2 = 0.056237364629206283
@@ -67,6 +69,8 @@ def test_param_validation():
         new_params(float("inf"), 2)
     with pytest.raises(ValueError):
         new_params(10.0, 2.5)
+    with pytest.raises(ValueError, match="Q must be a finite number"):
+        new_params(True, 2)
 
 
 def test_p_max_reference_values():
@@ -119,3 +123,25 @@ def test_in_omega_b(p102):
     assert not in_omega_b(p102, 0.5, 20.5, 2.0)
     assert not in_omega_b(p102, 0.5, 1.9, 2.0)
     assert not in_omega_b(p102, 0.5, 5.0, 0.0)
+
+
+def test_at_least_is_absolute_below_one_and_relative_above():
+    assert at_least(0.5, 0.5 + 1e-9)
+    assert not at_least(0.5, 0.5 + 2e-9)
+    assert at_least(1e9, 1e9 + 1.0)
+    assert not at_least(1e9, 1e9 + 2.0)
+    assert at_least(-1e9, 1.0 - 1e9)              # sizes, not signs
+    assert at_least(3.0, 3.5, tol=0.5) and not at_least(3.0, 3.5, tol=0.0)
+    assert not at_least(1.0, math.nan)
+    # the caller's slack is judged, not lhs - rhs
+    assert at_least(1e9, 1e9, slack=-1.0) and not at_least(1e9, 1e9, slack=-2.0)
+    assert at_least(2.0, 1.0) is True and at_least(1.0, 2.0) is False
+
+
+def test_at_least_judges_arrays_row_by_row():
+    lhs, rhs = np.array([0.5, 1e9, 5.0]), np.array([0.5 + 1e-9, 1e9 + 1.0, 1.0])
+    assert at_least(lhs, rhs).tolist() == [True, True, True]
+    rhs[1] += 2.0
+    assert at_least(lhs, rhs).tolist() == [True, False, True]
+    slack = lhs - rhs
+    assert (at_least(lhs, rhs, slack=slack) == at_least(lhs, rhs)).all()

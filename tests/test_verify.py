@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -72,19 +73,43 @@ def test_wedge_inequality_tolerates_roundoff(d):
     assert r.worst_slack < -1e-9
 
 
-@pytest.mark.parametrize("d", [2, 10])
-def test_wedge_inequality_catches_relative_violation(d, monkeypatch):
-    # shrink the left side, the first of the three wedge calls per chunk,
-    # by a relative 1e-6; the sharp-edge rows then fail by about 1e-6
+def _shrink_first_of(fn, period):
+    """fn with the first of every `period` calls shrunk by a relative 1e-6."""
     calls = itertools.count()
 
     def shrunk(*args):
-        out = _wedge_vec(*args)
-        return out * (1 - 1e-6) if next(calls) % 3 == 0 else out
+        out = fn(*args)
+        return out * (1 - 1e-6) if next(calls) % period == 0 else out
 
-    monkeypatch.setattr(verify, "_wedge_vec", shrunk)
-    r = check_wedge_inequality(new_params(10, d), n_samples=20000)
+    return shrunk
+
+
+@pytest.mark.parametrize("Q", [10, 1e12])
+@pytest.mark.parametrize("d", [2, 10])
+def test_wedge_inequality_catches_relative_violation(Q, d, monkeypatch):
+    # shrink the left side, the first of the three wedge calls per chunk,
+    # by a relative 1e-6; the sharp-edge rows then fail by about 1e-6
+    monkeypatch.setattr(verify, "_wedge_vec", _shrink_first_of(_wedge_vec, 3))
+    r = check_wedge_inequality(new_params(Q, d), n_samples=20000)
     assert not r.passed
+
+
+@pytest.mark.parametrize("Q", [10, 1e12])
+@pytest.mark.parametrize("check, name, period", [
+    (check_main_inequality_M, "_M_vec", 3),     # lhs, then the two children
+    (check_concavity, "_M_vec", 3),             # the midpoint, then the ends
+    (verify.check_wedge_domination, "_wedge_vec", 1),
+], ids=["main-M", "concavity", "wedge-domination"])
+def test_suites_catch_relative_violation(Q, check, name, period, monkeypatch):
+    # the left side shrunk by a relative 1e-6 fails the rows where the
+    # inequality is sharp, at any Q: the rule's scale follows the sides
+    p = new_params(Q, 2)
+    assert check(p, n_samples=20000).passed
+    shrunk = _shrink_first_of(getattr(verify, name), period)
+    monkeypatch.setattr(verify, name, shrunk)
+    r = check(p, n_samples=20000)
+    assert not r.passed
+    assert r.worst_slack < -1e-7 * Q
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,6 +322,20 @@ def test_oracle_agrees_with_closed_form(p21):
     r = oracle_vs_closed_form(table, p21)
     assert r.passed
     assert r.worst_slack >= -1e-9
+
+
+@pytest.mark.parametrize("Q", [10, 1e12])
+def test_bridge_catches_relative_violation(Q):
+    # the sharp bucket (the full set at average Q, mass Q) raised by 1e-6
+    p = new_params(Q, 1)
+    table = brute_force_oracle(p, 1)
+    assert oracle_vs_closed_form(table, p).passed
+    key = (Fraction(1), Fraction(Q))
+    b = table.buckets[key]
+    table.buckets[key] = replace(b, value=b.value * (1 + Fraction(1, 10**6)))
+    r = oracle_vs_closed_form(table, p)
+    assert not r.passed
+    assert r.worst_witness["direction"] == "upper"
 
 
 def test_oracle_determinism(p21):
