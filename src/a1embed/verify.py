@@ -476,7 +476,7 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
         raise DomainError(f"oracle grid needs grid_size >= 2, got {grid_size}")
     _cap(grid_size if p.Q > 1 else 1, p.N, "combinations at level 1")
     ladder = {1 + j * (Fraction(p.Q) - 1) * p.N / Fraction(grid_size - 1)
-              for j in range(1, grid_size)}
+              for j in range(1, grid_size if p.Q > 1 else 1)}
     return sorted(ladder.union({Fraction(1)}, *(_corner_values(p, k)
                                                 for k in range(1, depth + 1))))
 

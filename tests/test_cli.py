@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end (in-process)."""
 
+import argparse
 import json
 import time
 
@@ -287,3 +288,67 @@ def test_verify_bad_tol(capsys, tol):
 def test_missing_required_flag():
     with pytest.raises(SystemExit):
         main(["eval", "--Q", "10", "--d", "2", "--x", "0.5"])
+
+
+def test_oracle_q1_grid_size_is_not_read(capsys):
+    # at Q = 1 every ladder value is 1, so the ladder is never built
+    argv = ("oracle", "--Q", "1", "--d", "1", "--depth", "1", "--format",
+            "json", "--grid")
+    small = run(capsys, *argv, "2")
+    start = time.perf_counter()
+    large = run(capsys, *argv, "100000")
+    assert time.perf_counter() - start < 0.2
+    assert large == small
+    assert small[0] == 0
+
+
+def test_table_without_x_rows_does_not_read_ny(capsys):
+    rc, out, err = run(capsys, "table", "--Q", "10", "--d", "2", "--nx", "0",
+                       "--ny", "-1")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1:] == ["x,y,M"]
+
+
+def test_main_is_reentrant(capsys, monkeypatch, tmp_path):
+    table = ("table", "--Q", "5", "--d", "3", "--nx", "4", "--ny", "3")
+    point = ("eval", "--Q", "10", "--d", "2", "--x", "0.25", "--y", "10")
+    first = [run(capsys, *table), run(capsys, *point)]
+    with pytest.raises(SystemExit):
+        main(["eval", "--Q", "10", "--x", "0.5", "--y", "2"])
+    capsys.readouterr()
+    assert run(capsys, "eval", "--Q", "10", "--d", "2", "--x", "2",
+               "--y", "7")[0] == 2
+    for argv in [
+        ("plot-data", "--Q", "10", "--d", "2", "--n-points", "5"),
+        ("extremize", "--Q", "10", "--d", "2", "--x", "0.3", "--y", "8",
+         "--depth", "4", "--out", str(tmp_path / "pair.json")),
+        ("verify", "--Q", "10", "--d", "2", "--suite", "concavity",
+         "--samples", "200"),
+        ("oracle", "--Q", "2", "--d", "1", "--depth", "1"),
+    ]:
+        assert run(capsys, *argv)[0] == 0
+    assert [run(capsys, *table), run(capsys, *point)] == first
+
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["table", "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "--nx" in helps[0]
+
+
+def test_parser_is_built_at_most_once(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(20):
+        assert run(capsys, "eval", "--Q", "10", "--d", "2", "--x",
+                   str(i / 20), "--y", "5")[0] == 0
+    assert progs.count("a1embed") <= 1

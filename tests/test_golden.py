@@ -45,6 +45,10 @@ CLOSED_FORM = [
     "plot-data --Q 10 --d 2",
     "plot-data --Q 5 --d 3",
     "plot-data --Q 1.0001 --d 1",
+    # Q = 1 writes M = x; one x row; a one-node profile at d = 20
+    "table --Q 1 --d 1 --nx 5 --ny 3",
+    "table --Q 10 --d 2 --nx 1 --ny 2",
+    "plot-data --Q 1e8 --d 20 --n-points 2",
 ]
 
 EDGE = [
@@ -96,6 +100,12 @@ GOLDEN = {
         "0c4aaf38d1b28e06c9fdf51458ed4b2f02e6a2b545f724888b001d4b700ca3e6",
     "plot-data --Q 1.0001 --d 1":
         "a2d93f636d3721cafd19b2c4cba7fc420bfd691e48b6d1d20d153820aa095209",
+    "table --Q 1 --d 1 --nx 5 --ny 3":
+        "c5edbe89c7cbacd78c5f5ff556129e62ed85d5babcc428cabc9a9010dff8aa0e",
+    "table --Q 10 --d 2 --nx 1 --ny 2":
+        "a9f4110e68f3c0cf2251ec273545b9cff7674677b9ed5a8bcc896c348fc45d68",
+    "plot-data --Q 1e8 --d 20 --n-points 2":
+        "646aa7fff6c09c469a71ca575effefc7154cda1f844a8f052d97215f39f5b081",
     "eval --Q 10 --d 2 --x=-1e-13 --y 0.9999999999999":
         "05c394ac602e7ffdb920f6a2fc270a25811d754a0f4417fff669d704b8345542",
     "extremize --Q 10 --d 2 --x -0.0 --y 5 --depth 4":
