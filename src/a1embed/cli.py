@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,6 +39,77 @@ def _header(cmd: str, **opts) -> str:
     return " ".join(parts)
 
 
+def _json_text(doc) -> str:
+    """json.dumps(doc) with a 2-space indent and sorted keys, byte for byte.
+
+    The stdlib never uses its C encoder when indenting: its Python one
+    passes every chunk up through one generator per nesting level, and a
+    deep pair nests 66 levels.  This walks the document once into one list
+    of pieces.  A list that starts with a scalar is written once per indent
+    and then reused, since oracle tables share one leaf list among every
+    bucket with the same witness; the document keeps each list alive while
+    it is written, so its id stays valid for the whole call.  A key that
+    is not a str raises TypeError, where the stdlib would convert it.
+    """
+    out: list[str] = []
+    lists: dict[tuple[int, int], str] = {}
+    string = json.encoder.encode_basestring_ascii
+
+    def atom(o) -> str | None:
+        """The text of o, or None when o is a non-empty container."""
+        if isinstance(o, str):
+            return string(o)
+        if isinstance(o, float):
+            return float.__repr__(o) if math.isfinite(o) else json.dumps(o)
+        if isinstance(o, int) and not isinstance(o, bool):
+            return int.__repr__(o)
+        if isinstance(o, (dict, list, tuple)) and o:
+            return None
+        return json.dumps(o)
+
+    def walk(o, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                head = sep + string(k) + ": "
+                text = atom(v)
+                if text is None:
+                    out.append(head)
+                    walk(v, inner)
+                else:
+                    out.append(head + text)
+                sep = "," + inner
+            out.append(pad + "}")
+            return
+        key = None
+        if not isinstance(o[0], (dict, list, tuple)):
+            key = (id(o), len(pad))
+            if key in lists:
+                out.append(lists[key])
+                return
+        start = len(out)
+        sep = "[" + inner
+        for v in o:
+            text = atom(v)
+            if text is None:
+                out.append(sep)
+                walk(v, inner)
+            else:
+                out.append(sep + text)
+            sep = "," + inner
+        out.append(pad + "]")
+        if key is not None:
+            text = lists[key] = "".join(out[start:])
+            out[start:] = [text]
+
+    text = atom(doc)
+    if text is not None:
+        return text
+    walk(doc, "\n")
+    return "".join(out)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -58,10 +130,12 @@ def cmd_eval(p: Params, args) -> int:
 
 
 def cmd_table(p: Params, args) -> int:
+    if args.nx < 1 or args.ny < 1:
+        raise DomainError(f"table needs nx, ny >= 1, got {args.nx}, {args.ny}")
     lines = [_header("table", Q=args.Q, d=args.d, nx=args.nx, ny=args.ny),
              "x,y,M"]
     xs = np.linspace(0.0, 1.0, args.nx).tolist()
-    ys = np.linspace(1.0, p.Q, args.ny if xs else 0).tolist()
+    ys = np.linspace(1.0, p.Q, args.ny).tolist()
     y_cells = list(zip(ys, map(_fmt, ys)))
     for x, x_text in zip(xs, map(_fmt, xs)):
         for y, y_text in y_cells:
@@ -83,6 +157,8 @@ def _profile_grid(p: Params, n_points: int) -> np.ndarray:
 def cmd_plot_data(p: Params, args) -> int:
     if p.degenerate:
         raise DomainError("plot-data needs Q > 1")
+    if args.n_points < 1:
+        raise DomainError(f"plot-data needs n_points >= 1, got {args.n_points}")
     xs = _profile_grid(p, args.n_points)
     f = _f_vec(p, xs)
     fs = p.Q * np.power(xs, p.epsilon)
@@ -104,7 +180,7 @@ def cmd_extremize(p: Params, args) -> int:
     st = pair.achieved
     doc["achieved"] = {"x": float(st.x), "y": float(st.y), "m": float(st.m),
                        "char": float(st.char), "value": float(st.value)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text(doc) + "\n"
     info = sys.stderr if args.out is None else sys.stdout
     print(_header("extremize", Q=args.Q, d=args.d, x=args.x, y=args.y,
                   depth=args.depth), file=info)
@@ -122,7 +198,7 @@ def cmd_verify(p: Params, args) -> int:
                      samples=args.samples, seed=args.seed, tol=args.tol)
     if args.format == "json":
         doc = {"header": header, "reports": [r.to_json() for r in reports]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         print(header)
         for r in reports:
@@ -144,7 +220,7 @@ def cmd_oracle(p: Params, args) -> int:
     if args.format == "json":
         doc = table.to_json()
         doc["bridge"] = bridge.to_json()
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         text = (_header("oracle", Q=args.Q, d=args.d, depth=args.depth,
                         grid=args.grid) + "\n" + table.to_csv())

@@ -103,14 +103,23 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     Draws (x, y), (xt, yt) uniformly from the domain square and keeps
     samples satisfying xt <= x (which forces xhat = Nx - (N-1)xt >= 0),
     xhat <= 1, and yhat = Ny - (N-1)yt >= Q.  Slack is
-    M(x,y) - [(N-1)/N M(xt,yt) + yhat/(NQ) M(xhat, Q)].  Raises
-    DomainError if MAX_WAVES waves admit fewer than n_samples rows.
+    M(x,y) - [(N-1)/N M(xt,yt) + yhat/(NQ) M(xhat, Q)].  A draw is
+    admitted with probability (N-1)/(4N^2): the x-area 1/(2N) times the
+    y-area (N-1)/(2N).  Raises DomainError before drawing when n_samples
+    exceeds E + 10 sqrt(E), E the expected admissions of MAX_WAVES waves,
+    and after, if the waves admit fewer than n_samples rows.
     """
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     if n_samples < 1:
         raise DomainError("main inequality sampler needs n_samples >= 1")
     N, Q = p.N, p.Q
+    draws = MAX_WAVES * WAVE * CHUNK
+    expected = (N - 1) / (4 * N * N) * draws
+    if n_samples > expected + 10 * math.sqrt(expected):
+        raise DomainError(f"main inequality sampler expects to admit about "
+                          f"{expected:.0f} of {n_samples} requested samples "
+                          f"in {draws} draws")
     tally = [0, 0, 0, 0]            # admitted, drawn, xt <= x, xhat >= 0
 
     def draw(g, c, _):

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a1embed import pair_from_json, stats
-from a1embed.cli import main
+from a1embed.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -302,11 +304,23 @@ def test_oracle_q1_grid_size_is_not_read(capsys):
     assert small[0] == 0
 
 
-def test_table_without_x_rows_does_not_read_ny(capsys):
-    rc, out, err = run(capsys, "table", "--Q", "10", "--d", "2", "--nx", "0",
-                       "--ny", "-1")
-    assert (rc, err) == (0, "")
-    assert out.splitlines()[1:] == ["x,y,M"]
+@pytest.mark.parametrize("nx, ny", [("0", "-5"), ("0", "3"), ("-1", "3"),
+                                    ("3", "0"), ("1", "-1")])
+def test_table_refuses_empty_grid(capsys, nx, ny):
+    # --nx 0 exited 0 whatever --ny was; --nx -1 exited 2 in numpy's words
+    rc, out, err = run(capsys, "table", "--Q", "10", "--d", "2", "--nx", nx,
+                       "--ny", ny)
+    assert (rc, out) == (2, "")
+    assert err == f"error: table needs nx, ny >= 1, got {nx}, {ny}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_plot_data_refuses_empty_grid(capsys, n):
+    # --n-points 0 exited 0 with only the node rows
+    rc, out, err = run(capsys, "plot-data", "--Q", "10", "--d", "2",
+                       "--n-points", n)
+    assert (rc, out) == (2, "")
+    assert err == f"error: plot-data needs n_points >= 1, got {n}\n"
 
 
 def test_main_is_reentrant(capsys, monkeypatch, tmp_path):
@@ -352,3 +366,43 @@ def test_parser_is_built_at_most_once(capsys, monkeypatch):
         assert run(capsys, "eval", "--Q", "10", "--d", "2", "--x",
                    str(i / 20), "--y", "5")[0] == 0
     assert progs.count("a1embed") <= 1
+
+
+_ODD_STRINGS = ["", "\"", "\\", "\x00", "\x1f\n\t", "\u00e9", "\u2028",
+                "\U0001f600", "a\"b\\c"]
+_json_leaves = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1.7976931348623157e308, math.inf, -math.inf, math.nan])
+    | st.integers(-2**256, 2**256) | st.booleans() | st.none()
+    | st.text() | st.sampled_from(_ODD_STRINGS))
+_json_keys = st.text() | st.sampled_from(_ODD_STRINGS)
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_json_keys, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_json_text_matches_stdlib(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_shared_list_at_two_indents():
+    leaves = [1.0, -0.0, 2, "x", None]
+    pair = (0.5, math.inf)
+    doc = {"a": leaves, "b": {"c": leaves, "d": [leaves, pair]},
+           "e": [pair, {"f": [leaves]}], "g": leaves}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{1: "x"}, {"a": {None: 1}},
+                                 {"a": [{True: 1}]}, [{0.5: []}]])
+def test_json_text_refuses_non_str_keys(doc):
+    # the stdlib would write these keys as strings
+    json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(doc)

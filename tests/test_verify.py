@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -142,6 +143,27 @@ def test_main_inequality_M_refuses_short_run(p102, monkeypatch):
     assert main(argv) == 2
     with pytest.raises(DomainError):
         check_main_inequality_M(p102, n_samples=0)
+
+
+def test_main_inequality_M_refuses_unreachable_count_up_front(capsys):
+    # at d=16 all MAX_WAVES waves admit about 8192 rows; this ran them all
+    argv = ["verify", "--Q", "10", "--d", "16", "--suite",
+            "main-inequality-M", "--samples", "20000"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "of 20000 requested" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_main_inequality_M_admission_rate(d):
+    # one wave of draws, admitted with probability (N-1)/(4N^2) each
+    p = new_params(10.0, d)
+    rate = (p.N - 1) / (4 * p.N ** 2)
+    draws = verify.WAVE * verify.CHUNK
+    admitted = check_main_inequality_M(p, n_samples=1).samples
+    sigma = math.sqrt(draws * rate * (1 - rate))
+    assert abs(admitted - draws * rate) < 5 * sigma
 
 
 def test_property_suites_pass(p102, p53):
