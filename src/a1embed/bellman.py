@@ -180,21 +180,20 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
 
 def _f_vec(p: Params, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    if not pos.any():
-        return out
-    xp = x[pos]
-    _, e = np.frexp(xp)
-    k = np.maximum(0, -(e.astype(np.int64)) // p.d)
-    s = np.ldexp(xp, (p.d * k).astype(np.int32))
+    e = np.frexp(x)[1]
+    k = np.maximum(0, -e) // p.d       # frexp's int32 throughout
+    s = np.ldexp(x, p.d * k)
     low = s <= 1.0 / p.N        # the one up-step of _interval_index
     if low.any():
-        k = np.where(low, k + 1, k)
-        s = np.ldexp(xp, (p.d * k).astype(np.int32))
-    out[pos] = np.power(p.eta, k) * (p.Q - 1 + s)
-    np.minimum(out, p.Q, out=out)
-    return out
+        k += low
+        s = np.ldexp(x, p.d * k)
+    # f = eta^k (Q - 1 + s) in place, eta^k from a table of np.power(eta,
+    # 0..max k): the same elementwise calls, so the bits of np.power(eta, k)
+    s += p.Q - 1
+    s *= np.power(p.eta, np.arange(k.max(initial=0) + 1))[k]
+    s[~(x > 0)] = 0.0
+    np.minimum(s, p.Q, out=s)
+    return s
 
 
 def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -206,11 +205,9 @@ def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _M_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lower = _on_lower_branch(p, x, y)
-    out = np.empty_like(x)
-    out[lower] = x[lower] + y[lower] - 1
-    up = ~lower
-    if up.any():
+    out = x + y - 1             # the lower branch, overwritten where it fails
+    up = np.nonzero(~_on_lower_branch(p, x, y))
+    if up[0].size:
         out[up] = _upper_vec(p, x[up], y[up])
     return out
 

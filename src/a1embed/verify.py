@@ -123,22 +123,24 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     tally = [0, 0, 0, 0]            # admitted, drawn, xt <= x, xhat >= 0
 
     def draw(g, c, _):
-        x = g.uniform(0.0, 1.0, c)
-        xt = g.uniform(0.0, 1.0, c)
-        y = g.uniform(1.0, Q, c)
-        yt = g.uniform(1.0, Q, c)
+        # four uniform(lo, hi, c) calls in one block: lo + (hi - lo) * u
+        x, xt, u_y, u_yt = g.random((4, c))
         xhat = N * x - (N - 1) * xt
-        yhat = N * y - (N - 1) * yt
         ok_order = xt <= x
-        keep = ok_order & (xhat <= 1.0) & (yhat >= Q)
-        cols = [x[keep], y[keep], xt[keep], yt[keep], xhat[keep], yhat[keep]]
+        near = np.flatnonzero(ok_order & (xhat <= 1.0))
+        y = 1.0 + (Q - 1.0) * u_y[near]
+        yt = 1.0 + (Q - 1.0) * u_yt[near]
+        yhat = N * y - (N - 1) * yt
+        keep = yhat >= Q
+        i = near[keep]
+        cols = [x[i], y[keep], xt[i], yt[keep], xhat[i], yhat[keep]]
         lhs = _M_vec(p, cols[0], cols[1])
         rhs = ((N - 1) / N * _M_vec(p, cols[2], cols[3])
                + cols[5] / (N * Q) * _M_vec(p, cols[4], np.full_like(cols[4], Q)))
-        tally[0] += int(keep.sum())
+        tally[0] += i.size
         tally[1] += c
-        tally[2] += int(ok_order.sum())
-        tally[3] += int((xhat >= 0).sum())
+        tally[2] += np.count_nonzero(ok_order)
+        tally[3] += np.count_nonzero(xhat >= 0)
         return lhs - rhs, _row(*cols), lhs, rhs
 
     def waves():

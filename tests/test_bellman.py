@@ -19,6 +19,7 @@ from a1embed import (
     wedge_coeffs,
 )
 from a1embed.bellman import _B_vec, _f_vec, _interval_index, _M_vec, _wedge_vec
+from a1embed.params import BOUNDARY_TOL
 
 # independently recomputed at 40 digits
 F_SMOOTH_HALF_10_2 = 9.617692030835672
@@ -250,3 +251,90 @@ def test_interval_index_and_kernels_at_breakpoints(d):
         x, y = np.array(pts).T
         m_s = np.array([eval_M(p, a, b) for a, b in pts])
         assert _ulps(_M_vec(p, x, y), m_s).max() <= 2
+
+
+# The vector kernels as they were written with boolean masks and a pow per
+# element, frozen: _f_vec and _M_vec must keep their bits exactly, since
+# every sampler report prints values and witnesses computed by them.
+
+def _masked_f_vec(p, x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    if not pos.any():
+        return out
+    xp = x[pos]
+    _, e = np.frexp(xp)
+    k = np.maximum(0, -(e.astype(np.int64)) // p.d)
+    s = np.ldexp(xp, (p.d * k).astype(np.int32))
+    low = s <= 1.0 / p.N
+    if low.any():
+        k = np.where(low, k + 1, k)
+        s = np.ldexp(xp, (p.d * k).astype(np.int32))
+    out[pos] = np.power(p.eta, k) * (p.Q - 1 + s)
+    np.minimum(out, p.Q, out=out)
+    return out
+
+
+def _masked_M_vec(p, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    lower = y <= 1 + (p.Q - 1) * x + BOUNDARY_TOL
+    out = np.empty_like(x)
+    out[lower] = x[lower] + y[lower] - 1
+    up = ~lower
+    if up.any():
+        xu, yu = x[up], y[up]
+        u = np.minimum(xu * (p.Q - 1) / (yu - 1), 1.0)
+        out[up] = (yu - 1) / (p.Q - 1) * _masked_f_vec(p, u)
+    return out
+
+
+def _kernel_points(p, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xs for f; (x, y) for M: random, every breakpoint N^-k and its float
+    neighbours, subnormals, 0 and 1, with y on the line y = 1 + (Q-1)x and
+    one ulp either side of it, and y = 1, Q."""
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([_edge_xs(p.d), rng.random(200),
+                         [0.0, 5e-324, 2.0**-1030, 2.0**-1022, 1.0]])
+    line = 1 + (p.Q - 1) * xs
+    ys = np.stack([np.nextafter(line, 0.0), line, np.nextafter(line, np.inf),
+                   np.ones_like(xs), np.full_like(xs, p.Q),
+                   1 + (p.Q - 1) * rng.random(xs.size)])
+    x, y = np.broadcast_to(xs, ys.shape).ravel(), np.clip(ys, 1.0, p.Q).ravel()
+    return rng.permutation(xs), x, y
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_kernels_match_masked_reference_bit_for_bit(d):
+    for Q in EDGE_QS:
+        p = new_params(Q, d)
+        xs, x, y = _kernel_points(p, d)
+        assert np.array_equal(_f_vec(p, xs), _masked_f_vec(p, xs))
+        assert np.array_equal(_M_vec(p, x, y), _masked_M_vec(p, x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(Q=st.floats(1 + 1e-9, 1e12), d=st.integers(1, 20),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_kernels_match_masked_reference_hypothesis(Q, d, xs, ts):
+    p = new_params(Q, d)
+    n = min(len(xs), len(ts))
+    x = np.array(xs[:n])
+    y = 1 + (p.Q - 1) * np.array(ts[:n])
+    assert np.array_equal(_f_vec(p, x), _masked_f_vec(p, x))
+    assert np.array_equal(_M_vec(p, x, y), _masked_M_vec(p, x, y))
+
+
+@pytest.mark.parametrize("Q, d", [(1 + 1e-9, 1), (2.0, 1), (10.0, 2), (1e12, 20)])
+def test_eta_power_table_matches_elementwise_power(Q, d):
+    # _f_vec looks eta^k up in np.power(eta, arange(max k + 1)); the lengths
+    # 1..17 put k in the vector body and the remainder of numpy's SIMD loops
+    p = new_params(Q, d)
+    rng = np.random.default_rng(17)
+    for n in range(1, 18):
+        for top in (n - 1, 60, 1074):
+            k = rng.permutation(np.arange(top + 1))[:n].astype(np.int32)
+            table = np.power(p.eta, np.arange(k.max() + 1))
+            assert np.array_equal(table[k], np.power(p.eta, k.astype(np.int64)))

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from a1embed import (
@@ -64,6 +65,48 @@ def test_sampler_determinism(p102):
     c = check_main_inequality_M(p102, n_samples=30000, seed=12)
     assert c.worst_slack != a.worst_slack
 
+
+@pytest.mark.parametrize("c", [1, 7, 65536])
+@pytest.mark.parametrize("Q", [1 + 1e-9, 2.0, 10.0, 1e12])
+def test_one_random_block_reads_like_four_uniform_calls(Q, c):
+    # the main-M sampler draws (x, xt, y, yt) as one g.random((4, c)) and
+    # maps the y rows by 1 + (Q - 1) u, which is how uniform(1, Q) maps them
+    g = verify._gen(5, 9)
+    want = [g.uniform(0.0, 1.0, c), g.uniform(0.0, 1.0, c),
+            g.uniform(1.0, Q, c), g.uniform(1.0, Q, c)]
+    x, xt, u_y, u_yt = verify._gen(5, 9).random((4, c))
+    got = [x, xt, 1.0 + (Q - 1.0) * u_y, 1.0 + (Q - 1.0) * u_yt]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _four_uniform_chunk(p, g, c):
+    """A main-M chunk drawn the direct way: four uniform calls, every
+    column on every row, one mask."""
+    N, Q = p.N, p.Q
+    x, xt = g.uniform(0.0, 1.0, c), g.uniform(0.0, 1.0, c)
+    y, yt = g.uniform(1.0, Q, c), g.uniform(1.0, Q, c)
+    xhat, yhat = N * x - (N - 1) * xt, N * y - (N - 1) * yt
+    keep = (xt <= x) & (xhat <= 1.0) & (yhat >= Q)
+    cols = [a[keep] for a in (x, y, xt, yt, xhat, yhat)]
+    return cols, np.count_nonzero(xt <= x), np.count_nonzero(xhat >= 0)
+
+
+@pytest.mark.parametrize("Q, d", [(1 + 1e-9, 1), (2.0, 1), (10.0, 2), (1e8, 5)])
+def test_main_M_rows_match_four_uniform_draws(Q, d, monkeypatch):
+    # every admitted row of every chunk, and the pass-rate tallies, bit for
+    # bit against the direct draw
+    p, seen = new_params(Q, d), []
+    row = verify._row
+    monkeypatch.setattr(verify, "_row", lambda *cols: seen.append(cols) or row(*cols))
+    r = check_main_inequality_M(p, n_samples=1000, seed=4)
+    n_order = n_hat = 0
+    for stream, cols in enumerate(seen):
+        want, o, h = _four_uniform_chunk(p, verify._gen(4, stream), verify.CHUNK)
+        assert all(np.array_equal(a, b) for a, b in zip(cols, want))
+        n_order, n_hat = n_order + o, n_hat + h
+    raw = len(seen) * verify.CHUNK
+    assert r.samples == sum(c[0].size for c in seen)
+    assert r.notes.endswith(f"xt<=x {n_order / raw:.4f}, xhat>=0 {n_hat / raw:.4f}")
 
 @pytest.mark.parametrize("d", [10, 12])
 def test_wedge_inequality_tolerates_roundoff(d):
