@@ -3,16 +3,17 @@
 A weight is a positive function constant on the leaves of a finite N-ary
 tree (N = 2^d children per node, a leaf at depth j standing for a whole
 subcube of measure N^-j).  A set is a tree whose leaves are full/empty
-markers.  Leaf values may be floats or fractions.Fraction; all statistics
-are computed with the leaf type, so rational trees give exact answers.
+markers.  Leaf values may be floats or fractions.Fraction, and statistics
+keep the leaf type: a Fraction mean is exact, one integer sum over the lcm
+of the denominators; a float sum keeps its left-to-right order and bits.
 
 Trees are plain immutable structures: a weight node is either a number or
 a tuple of N nodes, a set node is either a bool (True = full) or a tuple.
 Subtrees and leaf objects may be shared, so every bottom-up quantity
-comes from one post-order fold memoized on node identity (`_fold`): every
-node, leaf or internal, is folded once per identity.  That keeps deeply
-shared constructions (see extremize) linear-time, and a padding leaf that
-fills N-1 children is summarized, or scaled, once.
+comes from one post-order fold memoized on node identity (`_fold`).  It
+folds each node once, and a node of over 4 children each distinct child
+once, so shared constructions (see extremize) fold in linear time and N-1
+padding children that are one leaf object cost one walk, not N.
 
 The weight statistics all come from one per-node summary
 (average, minimum, characteristic).  The dyadic A1 characteristic is the
@@ -28,9 +29,11 @@ All quantities are normalized to the root cube having measure 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import is_
 from typing import Any, Union
 
 from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX, new_params
@@ -77,10 +80,9 @@ def _is_leaf(node) -> bool:
 def _fold(root, leaf, inner, memo=None):
     """Post-order fold: leaf(value) at leaves, inner(child results) above.
 
-    Every node, leaf or internal, is folded once per identity: results are
-    memoized on id(node), in `memo` when given, so a caller can share them
-    between folds of the same tree.  A leaf object repeated across a tree
-    (the padding of a construction) is summarized once.
+    Every node is folded once per identity, memoized on id(node) in `memo`
+    when given (callers share it between folds of one tree).  A node of over
+    4 children that repeats one walks each distinct child once.
     """
     if memo is None:
         memo = {}
@@ -88,11 +90,26 @@ def _fold(root, leaf, inner, memo=None):
     def walk(node):
         r = memo.get(id(node))
         if r is None:
-            r = memo[id(node)] = (leaf(node) if _is_leaf(node)
-                                  else inner([walk(c) for c in node]))
+            if _is_leaf(node):
+                r = leaf(node)
+            elif len(node) > 4 and any(map(is_, node, node[1:])):
+                for c in dict(zip(map(id, node), node)).values():
+                    walk(c)
+                r = inner(list(map(memo.__getitem__, map(id, node))))
+            else:
+                r = inner(list(map(walk, node)))
+            memo[id(node)] = r
         return r
 
     return walk(root)
+
+
+def _mean(vals, n):
+    """sum(vals) / n; a Fraction mean is one integer sum over the lcm L."""
+    if {Fraction} <= set(map(type, vals)) <= {Fraction, int}:
+        L = math.lcm(*{v.denominator for v in vals})
+        return Fraction(sum([v.numerator * (L // v.denominator) for v in vals]), L * n)
+    return sum(vals) / n    # left to right: float bits kept, int / int a float
 
 
 def make_set_node(children) -> SetNode:
@@ -161,8 +178,10 @@ def _summary(node, n: int, memo=None):
     """(average, minimum, characteristic) of the cube at `node`, in one fold."""
 
     def inner(rs):
-        avgs, mins, chars = zip(*rs)
-        avg = sum(avgs) / n
+        avg = _mean([r[0] for r in rs], n)
+        if len(rs) > 4 and any(map(is_, rs, rs[1:])):   # as in _fold
+            rs = dict(zip(map(id, rs), rs)).values()
+        _, mins, chars = zip(*rs)
         mn = min(mins)
         return avg, mn, max(avg / mn, *chars)
 
@@ -190,7 +209,7 @@ def a1_characteristic(w: DyadicWeight):
 
 def _measure(node, n: int, memo=None) -> Fraction:
     return _fold(node, lambda v: Fraction(1 if v else 0),
-                 lambda rs: sum(rs) / n, memo)
+                 lambda rs: _mean(rs, n), memo)
 
 
 def measure(E: DyadicSet) -> Fraction:
@@ -214,7 +233,7 @@ def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict):
         key = (id(wn), id(en))
         r = memo.get(key)
         if r is None:
-            r = memo[key] = sum(walk(wc, ec) for wc, ec in zip(wn, en)) / w.n
+            r = memo[key] = _mean(list(map(walk, wn, en)), w.n)
         return r
 
     return walk(w.tree, E.tree)
@@ -255,9 +274,10 @@ def value_distribution(w: DyadicWeight) -> dict:
 
     def inner(rs):
         r: dict = {}
-        for dist in rs:
-            for v, mu in dist.items():
-                r[v] = r.get(v, Fraction(0)) + mu / w.n
+        dists = dict(zip(map(id, rs), rs))      # each distinct child once
+        for key, count in Counter(map(id, rs)).items():
+            for v, mu in dists[key].items():
+                r[v] = r.get(v, Fraction(0)) + mu * Fraction(count, w.n)
         return r
 
     return _fold(w.tree, lambda v: {v: Fraction(1)}, inner)
