@@ -142,7 +142,6 @@ def eval_B(p: Params, x: float, y: float, m: float) -> float:
 class WedgeCoeffs:
     """Coefficients of the k-th tangent plane a x + b (y - 1)."""
 
-    k: int
     a: float        # (N eta)^k
     b: float        # eta^k
 
@@ -156,7 +155,7 @@ def wedge_coeffs(p: Params, k: int) -> WedgeCoeffs:
         a = math.pow(p.N * p.eta, k)
     except OverflowError:
         raise DomainError(f"wedge slope (N eta)^{k} overflows a float") from None
-    return WedgeCoeffs(k=k, a=a, b=math.pow(p.eta, k))
+    return WedgeCoeffs(a=a, b=math.pow(p.eta, k))
 
 
 def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:

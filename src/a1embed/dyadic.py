@@ -15,6 +15,11 @@ folds each node once, and a node of over 4 children each distinct child
 once, so shared constructions (see extremize) fold in linear time and N-1
 padding children that are one leaf object cost one walk, not N.
 
+A DyadicWeight or DyadicSet (and an extremize.ExtremalPair) compares and
+hashes by identity; compare structure through `.tree` or `stats`.  The repr
+is one fold, `DyadicWeight(n=4, depth=69, unique=75)` (distinct node
+objects, leaves included), so it stays short however deep the tree.
+
 The weight statistics all come from one per-node summary
 (average, minimum, characteristic).  The dyadic A1 characteristic is the
 largest ratio average/minimum over the cubes of the tree, so a node's
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from operator import is_
@@ -46,20 +51,30 @@ SetNode = Union[bool, tuple]
 # plus one level to spare.
 DEFAULT_MAX_DEPTH = DIGITS_MAX + CONCAT_DIGITS_MAX + CORNER_K_MAX + 2
 
-FULL: SetNode = True
-EMPTY: SetNode = False
+
+def _tree_repr(t) -> str:
+    """`DyadicWeight(n=4, depth=69, unique=75)`, from one fold."""
+    memo: dict = {}
+    depth = _fold(t.tree, lambda v: 0, lambda rs: 1 + max(rs), memo)
+    return f"{type(t).__name__}(n={t.n}, depth={depth}, unique={len(memo)})"
 
 
-@dataclass(frozen=True)
+# compare=False keeps the tree out of field-by-field comparisons, such as
+# pytest's explanation of a failing `==`, which would walk it expanded.
+@dataclass(frozen=True, eq=False)
 class DyadicWeight:
     n: int              # children per internal node, n = 2^d
-    tree: WeightNode
+    tree: WeightNode = field(compare=False)
+
+    __repr__ = _tree_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicSet:
     n: int
-    tree: SetNode
+    tree: SetNode = field(compare=False)
+
+    __repr__ = _tree_repr
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalPair:
     w: DyadicWeight
     E: DyadicSet

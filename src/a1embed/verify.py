@@ -42,6 +42,7 @@ CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
 MAX_WAVES = 4096
 ORACLE_CAP = 2_000_000  # leaves N^depth, states^N per level, N^(2 depth)
+DOMINATION_K_MAX = 10   # wedge-domination checks wedges k = 1..10
 
 
 @dataclass(frozen=True)
@@ -345,9 +346,9 @@ def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
     return _sweep("homogeneity", seed, [(0, n_samples, 0)], draw, tol)
 
 
-def check_wedge_domination(p: Params, k_max: int = 10, n_samples: int = 10_000,
-                           seed: int = 0, tol: float = 1e-9) -> CheckReport:
-    """Every wedge M_k lies above M on the whole domain."""
+def check_wedge_domination(p: Params, n_samples: int = 10_000, seed: int = 0,
+                           tol: float = 1e-9) -> CheckReport:
+    """Every wedge M_k, k = 1..DOMINATION_K_MAX, lies above M on the domain."""
     if p.degenerate:
         raise DomainError("wedge domination needs Q > 1")
     side = max(2, int(math.isqrt(n_samples)))
@@ -361,9 +362,9 @@ def check_wedge_domination(p: Params, k_max: int = 10, n_samples: int = 10_000,
         return wedge - m, lambda i: {"k": k, "x": float(X[i]),
                                      "y": float(Y[i])}, wedge, m
 
-    plan = ((0, X.size, k) for k in range(1, k_max + 1))
+    plan = ((0, X.size, k) for k in range(1, DOMINATION_K_MAX + 1))
     return _sweep("wedge-domination", seed, plan, draw, tol,
-                  f"k=1..{k_max} on a {side}x{side} grid")
+                  f"k=1..{DOMINATION_K_MAX} on a {side}x{side} grid")
 
 
 def check_weak_type(w: DyadicWeight, p_exp: float,
@@ -630,8 +631,7 @@ def _weak_type_suite(p: Params, n_samples: Optional[int] = None, seed: int = 0,
 SUITES: dict[str, Callable[..., CheckReport]] = {
     "main-inequality-M": check_main_inequality_M,
     "main-inequality-B": check_main_inequality_B,
-    "wedge": lambda p, n_samples=100_000, seed=0, tol=1e-9:
-        check_wedge_inequality(p, 6, n_samples, seed, tol),
+    "wedge": check_wedge_inequality,
     "concavity": check_concavity,
     "t-monotonicity": check_t_monotonicity,
     "smooth-bound": check_smooth_bound,

@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from a1embed import (
     DyadicSet,
     DyadicWeight,
+    ExtremalPair,
     WeightStats,
     a1_characteristic,
     average,
@@ -366,6 +369,19 @@ def unique_nodes(tree) -> int:
     return len(seen)
 
 
+def unique_objects(tree) -> int:
+    """Distinct node objects of a tree, leaves included."""
+    seen = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, tuple):
+                stack.extend(node)
+    return len(seen)
+
+
 def test_fraction_conversion_keeps_sharing(p102):
     # expanded, the depth-32 pair has about 1e20 leaves: the conversion must
     # follow the sharing, not copy it out (depth 4 first, which a copying
@@ -398,6 +414,42 @@ def test_default_depth_cap_reloads_every_construction(make):
     _, _, w, E = pair_from_json(doc)
     assert tree_depth(w) == tree_depth(pair.w)
     assert stats(w, E) == stats(pair.w, pair.E)
+
+
+def _seconds(op) -> float:
+    t = perf_counter()
+    op()
+    return perf_counter() - t
+
+
+def test_trees_and_pairs_compare_by_identity():
+    # expanded, the depth-32 pair has about 1e22 nodes: hash, == and repr must
+    # not walk it, and neither may the message of a failing assert naming it
+    pair = build_extremizer(new_params(10.0, 2), 0.3, 8.0, 32)
+    doc = json.loads(json.dumps(pair_to_json(10.0, 2, pair.w, pair.E)))
+    _, _, w, E = pair_from_json(doc)
+    reload = ExtremalPair(w, E, stats(w, E))
+    for a, b in ((pair, reload), (pair.w, w), (pair.E, E)):
+        for op in (lambda: hash(a), lambda: a == b, lambda: repr(a)):
+            assert _seconds(op) < 0.1
+        assert a == a and a != b and b != a
+    assert reload.achieved == pair.achieved == stats(pair.w, pair.E)
+    for t in (pair.w, pair.E, w, E):
+        r = repr(t)
+        assert len(r) < 200
+        m = re.fullmatch(r"(\w+)\(n=(\d+), depth=(\d+), unique=(\d+)\)", r)
+        assert m, r
+        assert m.groups() == (type(t).__name__, "4", str(tree_depth(t)),
+                              str(unique_objects(t.tree)))
+    assert repr(pair) == (f"ExtremalPair(w={pair.w!r}, E={pair.E!r}, "
+                          f"achieved={pair.achieved!r})")
+    for a, b in ((reload, pair), (w, pair.w), (E, pair.E)):
+        t = perf_counter()
+        with pytest.raises(AssertionError) as err:
+            assert a == b
+        assert perf_counter() - t < 1
+        assert f"== {type(b).__name__}(" in str(err.value)
+        assert len(str(err.value)) < 1000
 
 
 # Small weight trees with shared subtrees: every new node draws its children

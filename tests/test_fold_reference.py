@@ -103,9 +103,9 @@ def same(a, b):
     return a == b
 
 
-# The checks keep trees out of assert statements: a failing assert prints
-# the values it names, and the repr of a shared tree expands every path
-# (an extremizer of depth 32 has about 1e22).
+# A failing check prints both statistics.  It may name a DyadicWeight or
+# DyadicSet too, whose repr is one fold (n, depth, unique nodes); a bare
+# `.tree` tuple would still print every expanded path.
 def check(got, want):
     assert same(got, want), (got, want)
 
