@@ -55,7 +55,7 @@ DEFAULT_MAX_DEPTH = DIGITS_MAX + CONCAT_DIGITS_MAX + CORNER_K_MAX + 2
 def _tree_repr(t) -> str:
     """`DyadicWeight(n=4, depth=69, unique=75)`, from one fold."""
     memo: dict = {}
-    depth = _fold(t.tree, lambda v: 0, lambda rs: 1 + max(rs), memo)
+    depth = _height(t.tree, memo)
     return f"{type(t).__name__}(n={t.n}, depth={depth}, unique={len(memo)})"
 
 
@@ -162,9 +162,10 @@ def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
     walk(root, 0)
 
 
-def _check_weight_leaf(v) -> None:
+def _check_weight_leaf(v):
     if v is True or not 0 < v < math.inf:       # False fails 0 < v
         raise ValueError(f"leaf value {v!r} is not finite and positive")
+    return v
 
 
 def _check_set_leaf(v) -> None:
@@ -182,8 +183,12 @@ def validate_set(E: DyadicSet, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
     _validate(E.tree, E.n, max_depth, "set", _check_set_leaf, True)
 
 
+def _height(node, memo=None) -> int:
+    return _fold(node, lambda v: 0, lambda rs: 1 + max(rs), memo)
+
+
 def tree_depth(w) -> int:
-    return _fold(w.tree, lambda v: 0, lambda rs: 1 + max(rs))
+    return _height(w.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +335,8 @@ def as_fraction_weight(w: DyadicWeight) -> DyadicWeight:
 # continuation subtree) is emitted once, tagged "id", and thereafter as
 # {"ref": id}; expanding such trees naively is exponential in the number of
 # stages.  Trees without sharing emit the plain nested format with no tags.
+# Decoding is the one walk over a loaded tree and makes every check that
+# validate_* make, the depth a ref reaches included (one memoized height fold).
 
 def _tree_to_json(root, leaf_doc):
     parents: dict[int, int] = {}
@@ -361,6 +368,7 @@ def _tree_to_json(root, leaf_doc):
 def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
                     max_depth: int):
     defs: dict = {}
+    heights: dict = {}
 
     def walk(doc, depth):
         if leaf_key in doc:
@@ -369,6 +377,8 @@ def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
             node = defs.get(doc["ref"])
             if node is None:
                 raise ValueError(f"ref {doc['ref']} precedes its definition")
+            if depth + _height(node, heights) > max_depth:
+                raise ValueError(f"{kind} tree deeper than {max_depth}")
             return node
         if depth >= max_depth:      # stop before the recursion goes deeper
             raise ValueError(f"{kind} tree deeper than {max_depth}")
@@ -386,7 +396,7 @@ def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
 def _number(v) -> float:
     if type(v) not in (float, int):     # refuses bool, str and the rest
         raise ValueError(f"weight leaf {v!r} is not a JSON number")
-    return float(v)
+    return _check_weight_leaf(float(v))
 
 
 def _set_leaf(marker) -> bool:
@@ -406,7 +416,7 @@ def pair_to_json(Q: float, d: int, w: DyadicWeight, E: DyadicSet) -> dict:
 
 
 def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
-    """Parse {"Q", "d", "weight", "set"}; validates both trees.
+    """Parse {"Q", "d", "weight", "set"}, checking each tree as it decodes.
 
     (Q, d) must pass new_params.  Every malformed document raises ValueError.
     """
@@ -416,8 +426,6 @@ def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
             doc["weight"], p.N, "weight", "leaf", _number, tuple, max_depth))
         E = DyadicSet(p.N, _tree_from_json(
             doc["set"], p.N, "set", "set", _set_leaf, make_set_node, max_depth))
-        validate_weight(w, max_depth)
-        validate_set(E, max_depth)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed pair document: {exc!r}") from None
     except RecursionError:      # the walks recurse once per tree level

@@ -148,18 +148,6 @@ def build_corner(p: Params, k: int, exact: bool = False) -> ExtremalPair:
     return _finalize(p, w, E)
 
 
-def _binary_digits(lam: Fraction, depth: int) -> list[int]:
-    """First `depth` binary digits of lam."""
-    bits = []
-    r = lam
-    for _ in range(depth):
-        r *= 2
-        b = 1 if r >= 1 else 0
-        bits.append(b)
-        r -= b
-    return bits
-
-
 def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
                 depth: int) -> ExtremalPair:
     """Mix pair0 and pair1 with weights (1-lam, lam), truncated binary digits.
@@ -180,12 +168,11 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
         # terminating expansion would be 0.111...; take the pair itself
         return pair1
 
-    bits = _binary_digits(lamf, depth)
     half = p.N // 2
     wcur = one
     scur = False
-    for b in reversed(bits):
-        src = pair1 if b else pair0
+    for i in range(depth, 0, -1):       # digit b_i of lam, innermost stage first
+        src = pair1 if int(lamf * 2**i) % 2 else pair0
         wcur = (src.w.tree,) * half + (wcur,) * half
         scur = make_set_node((src.E.tree,) * half + (scur,) * half)
     return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur))

@@ -42,6 +42,7 @@ CHUNK = 1 << 16
 WAVE = 8            # main-M chunks between checks of the admitted count
 MAX_WAVES = 4096
 ORACLE_CAP = 2_000_000  # leaves N^depth, states^N per level, N^(2 depth)
+WEDGE_K_MAX = 6         # the wedge sampler checks wedges k = 0..6
 DOMINATION_K_MAX = 10   # wedge-domination checks wedges k = 1..10
 
 
@@ -202,9 +203,9 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
                   f"strata n_low=1..{N}")
 
 
-def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
-                           seed: int = 0, tol: float = 1e-9) -> CheckReport:
-    """Sample the per-wedge splitting inequality for k = 0..k_max.
+def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
+                           tol: float = 1e-9) -> CheckReport:
+    """Sample the per-wedge splitting inequality for k = 0..WEDGE_K_MAX.
 
     Admissible splits additionally satisfy xhat <= N^-k (the wedge only
     supports the construction when the continuing child keeps its set
@@ -214,7 +215,7 @@ def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
     if p.degenerate:
         raise DomainError("wedge sampler needs Q > 1")
     N, Q = p.N, p.Q
-    per = -(-n_samples // (k_max + 1))
+    per = -(-n_samples // (WEDGE_K_MAX + 1))
 
     def draw(g, c, k):
         nodek = N ** (-k)
@@ -243,9 +244,9 @@ def check_wedge_inequality(p: Params, k_max: int = 6, n_samples: int = 100_000,
             "yhat": float(yhat[i])}, lhs, rhs
 
     plan = itertools.chain.from_iterable(_quota(per, k)
-                                         for k in range(k_max + 1))
+                                         for k in range(WEDGE_K_MAX + 1))
     return _sweep("wedge", seed, plan, draw, tol,
-                  f"k=0..{k_max}, xhat capped at N^-k")
+                  f"k=0..{WEDGE_K_MAX}, xhat capped at N^-k")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_criterion_3_main_inequality_suites():
             r = check(p, n_samples=100000, seed=0)
             assert r.passed and r.samples >= 100000, (Q, d, r)
             assert r.worst_slack >= -1e-9
-        r = check_wedge_inequality(p, k_max=6, n_samples=100000, seed=0)
+        r = check_wedge_inequality(p, n_samples=100000, seed=0)
         assert r.passed and r.samples >= 100000
         assert r.worst_slack >= -1e-9
     report(3, "main inequality suites", t0, budget=30.0)

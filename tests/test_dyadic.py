@@ -316,7 +316,7 @@ def _nested(depth):
 GOOD_DOC = {"Q": 2.0, "d": 1, "weight": {"leaf": 1.0}, "set": {"set": "full"}}
 
 
-@pytest.mark.parametrize("change", [
+MALFORMED = [
     {"set": None},                                      # no "set" key
     {"weight": {"children": 5}},
     {"weight": {"children": [[{"leaf": 1.0}], {"leaf": 1.0}]}},
@@ -331,10 +331,18 @@ GOOD_DOC = {"Q": 2.0, "d": 1, "weight": {"leaf": 1.0}, "set": {"set": "full"}}
     {"weight": {"leaf": True}},
     {"Q": True},
     {"weight": {"leaf": 10**400}},                      # OverflowError in float()
-], ids=["missing-set", "children-not-a-list", "list-for-a-child",
-        "list-for-the-root", "600-deep", "d-40", "d-0", "leaf-Infinity",
-        "leaf-string-inf", "leaf-string-number", "leaf-true", "Q-true",
-        "leaf-huge-int"])
+    {"weight": {"children": [{"leaf": 1.0}, {"leaf": -2.0}]}},
+    {"weight": {"children": [{"leaf": 0}, {"leaf": 1.0}]}},
+    {"weight": {"leaf": json.loads("NaN")}},
+]
+MALFORMED_IDS = [
+    "missing-set", "children-not-a-list", "list-for-a-child",
+    "list-for-the-root", "600-deep", "d-40", "d-0", "leaf-Infinity",
+    "leaf-string-inf", "leaf-string-number", "leaf-true", "Q-true",
+    "leaf-huge-int", "leaf-negative", "leaf-zero", "leaf-NaN"]
+
+
+@pytest.mark.parametrize("change", MALFORMED, ids=MALFORMED_IDS)
 def test_json_malformed_documents_raise_value_error(change):
     assert pair_from_json(dict(GOOD_DOC))[0] == 2.0
     doc = {k: v for k, v in {**GOOD_DOC, **change}.items() if v is not None}
@@ -349,6 +357,117 @@ def test_json_decoder_stops_at_the_depth_cap():
     pair_from_json(doc, max_depth=5)
     with pytest.raises(ValueError, match="deeper than 4"):
         pair_from_json(doc, max_depth=4)
+
+
+def _ref_past_defn(leaf, other):
+    """A tree of depth 7 whose only path to depth 7 runs through a ref.
+
+    A height-2 subtree is defined at depth 1 and referenced again at depth 5;
+    every node is non-uniform, so a set tree keeps its shape.
+    """
+    node = {"ref": 0}
+    for _ in range(4):
+        node = {"children": [node, leaf]}
+    defn = {"id": 0, "children": [{"children": [leaf, other]}, other]}
+    return {"children": [defn, node]}
+
+
+REF_PAST_DEFN = {
+    "weight": dict(GOOD_DOC, weight=_ref_past_defn({"leaf": 1.0}, {"leaf": 2.0})),
+    "set": dict(GOOD_DOC, set=_ref_past_defn({"set": "full"}, {"set": "empty"})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REF_PAST_DEFN))
+def test_json_decoder_caps_the_depth_a_ref_reaches(kind):
+    # the ref at depth 5 places its height-2 subtree at depths 5..7
+    _, _, w, E = pair_from_json(REF_PAST_DEFN[kind], max_depth=7)
+    assert tree_depth(w if kind == "weight" else E) == 7
+    with pytest.raises(ValueError, match=f"{kind} tree deeper than 6"):
+        pair_from_json(REF_PAST_DEFN[kind], max_depth=6)
+
+
+def test_json_decoder_makes_one_walk_per_tree(p102, monkeypatch):
+    # the decode walk does every check; validate_* are for in-memory trees
+    def refuse(*args):
+        raise AssertionError("pair_from_json re-walked a decoded tree")
+
+    pair = build_extremizer(p102, 0.3, 8.0, depth=16)
+    doc = json.loads(json.dumps(pair_to_json(10.0, 2, pair.w, pair.E)))
+    monkeypatch.setattr(dyadic, "validate_weight", refuse)
+    monkeypatch.setattr(dyadic, "validate_set", refuse)
+    _, _, w, E = pair_from_json(doc)
+    assert stats(w, E) == stats(pair.w, pair.E)
+    for change in MALFORMED:
+        doc = {k: v for k, v in {**GOOD_DOC, **change}.items() if v is not None}
+        with pytest.raises(ValueError):
+            pair_from_json(doc)
+    for doc in REF_PAST_DEFN.values():
+        with pytest.raises(ValueError, match="deeper than 6"):
+            pair_from_json(doc, max_depth=6)
+
+
+BAD_LEAVES = [-1.0, 0, 0.0, math.inf, -math.inf, math.nan, True, False, "1.0",
+              None, [1.0], 10**400]
+BAD_MARKERS = ["half", "Full", True, None, 1]
+
+
+@st.composite
+def pair_documents(draw):
+    """Pair documents, some well formed and some broken in every known way.
+
+    A clean document has only good leaves, markers and fan-outs, and refs
+    only to defined ids, so it fails at most on the depth cap.  Ids are
+    registered as the decoder registers them, after their children.
+    """
+    d = draw(st.integers(1, 2))
+    n = 2 ** d
+    clean = draw(st.booleans())
+    budget = [40]
+
+    def leaf(kind):
+        if not clean and draw(st.integers(0, 4)) == 0:
+            if draw(st.booleans()):
+                return {}                               # neither leaf nor children
+            bad = BAD_LEAVES if kind == "weight" else BAD_MARKERS
+            return {("leaf" if kind == "weight" else "set"): draw(st.sampled_from(bad))}
+        if kind == "weight":
+            return {"leaf": draw(st.one_of(st.floats(0.125, 64.0),
+                                           st.integers(1, 5)))}
+        return {"set": draw(st.sampled_from(["full", "empty"]))}
+
+    def node(kind, depth, defined):
+        pick = draw(st.integers(0, 5))
+        if pick == 0:
+            # a ref past len(defined) - 1 comes before its definition, or has none
+            top = len(defined) - 1 + (0 if clean else 2 * draw(st.booleans()))
+            if top >= 0:
+                return {"ref": draw(st.integers(0, top))}
+        if depth >= 8 or budget[0] <= 0 or pick < 3:
+            return leaf(kind)
+        fan = n
+        if not clean and draw(st.integers(0, 5)) == 0:
+            fan = draw(st.sampled_from([0, 1, n - 1, n + 1]))
+        budget[0] -= fan
+        doc = {"children": [node(kind, depth + 1, defined) for _ in range(fan)]}
+        if draw(st.booleans()):
+            doc["id"] = len(defined)
+            defined.append(doc["id"])
+        return doc
+
+    return {"Q": draw(st.sampled_from([2.0, 10.0])), "d": d,
+            "weight": node("weight", 0, []), "set": node("set", 0, [])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_documents(), st.integers(1, 12))
+def test_json_decoder_refuses_or_loads_a_valid_pair(doc, max_depth):
+    try:
+        _, _, w, E = pair_from_json(doc, max_depth)
+    except ValueError:
+        return
+    validate_weight(w, max_depth)
+    validate_set(E, max_depth)
 
 
 def test_json_decoder_names_a_depth_past_the_recursion_limit():

@@ -52,7 +52,7 @@ def test_main_inequality_B_passes(p21):
 
 
 def test_wedge_inequality_passes(p102):
-    r = check_wedge_inequality(p102, k_max=4, n_samples=20000, seed=3)
+    r = check_wedge_inequality(p102, n_samples=20000, seed=3)
     assert r.passed
     assert r.worst_slack >= -1e-9
 
