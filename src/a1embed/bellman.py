@@ -174,10 +174,11 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals used by the sampling suites; no domain checks here,
-# callers are trusted to supply in-domain arrays
+# vectorized internals used by the sampling suites and `table`; no domain
+# checks here, callers are trusted to supply in-domain arrays.  power rounds
+# the eta^k table; math.pow's gives eval_f's and eval_M's bits (README notes)
 
-def _f_vec(p: Params, x: np.ndarray) -> np.ndarray:
+def _f_vec(p: Params, x: np.ndarray, power=np.power) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     e = np.frexp(x)[1]
     k = np.maximum(0, -e) // p.d       # frexp's int32 throughout
@@ -186,28 +187,30 @@ def _f_vec(p: Params, x: np.ndarray) -> np.ndarray:
     if low.any():
         k += low
         s = np.ldexp(x, p.d * k)
-    # f = eta^k (Q - 1 + s) in place, eta^k from a table of np.power(eta,
-    # 0..max k): the same elementwise calls, so the bits of np.power(eta, k)
+    # f = eta^k (Q - 1 + s) in place, eta^k from a table of power(eta,
+    # 0..max k): the same elementwise calls, so the bits of power(eta, k)
     s += p.Q - 1
-    s *= np.power(p.eta, np.arange(k.max(initial=0) + 1))[k]
+    s *= power(p.eta, np.arange(k.max(initial=0) + 1))[k]
     s[~(x > 0)] = 0.0
-    np.minimum(s, p.Q, out=s)
+    s[x >= 1] = p.Q
     return s
 
 
-def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray,
+               power=np.power) -> np.ndarray:
     """The upper branch ((y-1)/(Q-1)) f(min(x (Q-1)/(y-1), 1))."""
     u = np.minimum(x * (p.Q - 1) / (y - 1), 1.0)
-    return (y - 1) / (p.Q - 1) * _f_vec(p, u)
+    return (y - 1) / (p.Q - 1) * _f_vec(p, u, power)
 
 
-def _M_vec(p: Params, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
+           power=np.power) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = x + y - 1             # the lower branch, overwritten where it fails
     up = np.nonzero(~_on_lower_branch(p, x, y))
     if up[0].size:
-        out[up] = _upper_vec(p, x[up], y[up])
+        out[up] = _upper_vec(p, x[up], y[up], power)
     return out
 
 

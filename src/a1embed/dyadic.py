@@ -116,7 +116,10 @@ def _fold(root, leaf, inner, memo=None):
             memo[id(node)] = r
         return r
 
-    return walk(root)
+    try:
+        return walk(root)
+    finally:
+        del walk    # walk calls itself through this cell: free the memo now
 
 
 def _mean(vals, n):
@@ -159,7 +162,10 @@ def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
             h = height[id(node)] = h + 1
         return h
 
-    walk(root, 0)
+    try:
+        walk(root, 0)
+    finally:
+        del walk    # as in _fold
 
 
 def _check_weight_leaf(v):
@@ -256,7 +262,10 @@ def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict):
             r = memo[key] = _mean(list(map(walk, wn, en)), w.n)
         return r
 
-    return walk(w.tree, E.tree)
+    try:
+        return walk(w.tree, E.tree)
+    finally:
+        del walk    # as in _fold
 
 
 def weight_on_set(w: DyadicWeight, E: DyadicSet):
@@ -286,7 +295,10 @@ def maximal_function(w: DyadicWeight) -> DyadicWeight:
                 for c in node)
         return r
 
-    return DyadicWeight(w.n, walk(w.tree, _summary(w.tree, w.n, summary_memo)[0]))
+    try:
+        return DyadicWeight(w.n, walk(w.tree, _summary(w.tree, w.n, summary_memo)[0]))
+    finally:
+        del walk    # as in _fold
 
 
 def value_distribution(w: DyadicWeight) -> dict:
@@ -362,7 +374,10 @@ def _tree_to_json(root, leaf_doc):
         doc["children"] = [walk(c) for c in node]
         return doc
 
-    return walk(root)
+    try:
+        return walk(root)
+    finally:
+        del walk    # as in _fold
 
 
 def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
@@ -390,7 +405,10 @@ def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
             defs[doc["id"]] = node
         return node
 
-    return walk(doc, 0)
+    try:
+        return walk(doc, 0)
+    finally:
+        del walk    # as in _fold
 
 
 def _number(v) -> float:

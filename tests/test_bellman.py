@@ -327,6 +327,32 @@ def test_kernels_match_masked_reference_hypothesis(Q, d, xs, ts):
     assert np.array_equal(_M_vec(p, x, y), _masked_M_vec(p, x, y))
 
 
+MATH_POW = np.vectorize(math.pow, otypes=[float])
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_kernels_with_math_pow_table_give_scalar_bits(d):
+    # given math.pow's eta^k, every other step of _f_vec/_M_vec is eval_f's
+    # and eval_M's IEEE operation, so the values match to the bit (signs of
+    # zero included); `table` prints eval_M's values this way
+    for Q in EDGE_QS + (2.0**53 + 2, 1e300):
+        p = new_params(Q, d)
+        xs, x, y = _kernel_points(p, d)
+        want_f = [eval_f(p, v) for v in xs.tolist()]
+        want_M = [eval_M(p, a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert _f_vec(p, xs, MATH_POW).tobytes() == np.array(want_f).tobytes()
+        assert _M_vec(p, x, y, MATH_POW).tobytes() == np.array(want_M).tobytes()
+
+
+@pytest.mark.parametrize("Q", [10.0, 2.0**53 + 2, 1e17, 3e20])
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_f_vec_is_exactly_Q_at_one(Q, d):
+    # fl(fl(Q - 1) + 1) is not Q from 2^53 on: at 2^53 + 2 it is 2^53
+    p = new_params(Q, d)
+    assert _f_vec(p, np.array([1.0, 0.5, 1.0])).tolist()[::2] == [Q, Q]
+    assert eval_f(p, 1.0) == Q
+
+
 @pytest.mark.parametrize("Q, d", [(1 + 1e-9, 1), (2.0, 1), (10.0, 2), (1e12, 20)])
 def test_eta_power_table_matches_elementwise_power(Q, d):
     # _f_vec looks eta^k up in np.power(eta, arange(max k + 1)); the lengths

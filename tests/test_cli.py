@@ -1,15 +1,19 @@
 """End-to-end runs of the command-line front end (in-process)."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from a1embed import pair_from_json, stats
-from a1embed.cli import _json_text, main
+from a1embed import bellman, cli, eval_M, new_params, pair_from_json, stats
+from a1embed.cli import _fmt, _header, _json_text, main
 
 
 def run(capsys, *argv):
@@ -312,6 +316,63 @@ def test_table_refuses_empty_grid(capsys, nx, ny):
                        "--ny", ny)
     assert (rc, out) == (2, "")
     assert err == f"error: table needs nx, ny >= 1, got {nx}, {ny}\n"
+
+
+def _scalar_table(Q: float, d: int, nx: int, ny: int) -> str:
+    """`table` as printed point by point: eval_M and _fmt on every cell."""
+    p = new_params(Q, d)
+    lines = [_header("table", Q=Q, d=d, nx=nx, ny=ny), "x,y,M"]
+    for x in np.linspace(0.0, 1.0, nx).tolist():
+        for y in np.linspace(1.0, p.Q, ny).tolist():
+            v = x if p.degenerate else eval_M(p, x, y)
+            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+TABLE_QS = [1.0, 1 + 2**-52, 1.0001, 2.0, 10.0, 2.0**53 + 2, 1e300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(Q=st.one_of(st.sampled_from(TABLE_QS), st.floats(1.0, 100.0),
+                   st.floats(1.0, 1e300)),
+       d=st.integers(1, 20), nx=st.integers(1, 70), ny=st.integers(1, 70),
+       k=st.integers(0, 6))
+# np.power's eta^k would move bytes in these three: eta^1..6 at d = 1, 2 and
+# eta^3 at (5, 3), which the 600-row grid reaches at x = 1/599
+@example(Q=2.5, d=1, nx=70, ny=70, k=0)
+@example(Q=20.0, d=2, nx=70, ny=70, k=0)
+@example(Q=5.0, d=3, nx=600, ny=2, k=0)
+# nx = N^k + 1 puts x, and u = x at y = Q, on the breakpoints j N^-k, where
+# x = N^-j takes _interval_index's up-step
+@example(Q=10.0, d=2, nx=1, ny=1, k=3)
+@example(Q=2.0, d=1, nx=1, ny=70, k=6)
+@example(Q=2.0**53 + 2, d=1, nx=1, ny=33, k=5)
+@example(Q=1 + 2**-52, d=3, nx=1, ny=9, k=2)
+def test_table_prints_the_scalar_kernel(Q, d, nx, ny, k):
+    if k and 2**(d * k) < 70:
+        nx = 2**(d * k) + 1
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["table", "--Q", repr(Q), "--d", str(d), "--nx", str(nx),
+                   "--ny", str(ny)])
+    assert rc == 0
+    assert buf.getvalue() == _scalar_table(Q, d, nx, ny)
+
+
+# sha256 of the 201 x 201 table as the per-point scalar path printed it
+TABLE_201_SHA256 = "f35767add344eb0a41190fbdd02dff582f7f22396fd7bea56dd3dd42d0dc37ba"
+
+
+def test_table_makes_no_scalar_call(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table called a scalar kernel")
+
+    for mod, name in ((bellman, "eval_M"), (bellman, "eval_f"), (cli, "eval_M")):
+        monkeypatch.setattr(mod, name, refuse)
+    rc, out, err = run(capsys, "table", "--Q", "10", "--d", "2", "--nx", "201",
+                       "--ny", "201")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_201_SHA256
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

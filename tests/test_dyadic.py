@@ -1,5 +1,6 @@
 """Tree weights and sets: aggregates, maximal function, characteristic, JSON."""
 
+import gc
 import json
 import math
 import random
@@ -239,6 +240,39 @@ def test_fold_visits_each_leaf_object_once():
 
         walk(w.tree)
         assert len(calls) == len(distinct) == k + 2
+
+
+def test_walkers_leave_no_reference_cycles():
+    # a nested walker calls itself through its closure cell; left set, that
+    # cycle keeps the walk's memos alive until the cyclic GC runs
+    pair = build_extremizer(new_params(10, 2), 0.3, 8.0, 32, exact=True)
+    w, E = pair.w, pair.E
+    doc = pair_to_json(10, 2, w, E)
+    walkers = {
+        "stats": lambda: stats(w, E),
+        "maximal_function": lambda: maximal_function(w),
+        "tree_depth": lambda: tree_depth(w),
+        "validate_weight": lambda: validate_weight(w),
+        "validate_set": lambda: validate_set(E),
+        "weight_on_set": lambda: weight_on_set(w, E),
+        "measure": lambda: measure(E),
+        "average": lambda: average(w),
+        "ess_inf": lambda: ess_inf(w),
+        "a1_characteristic": lambda: a1_characteristic(w),
+        "value_distribution": lambda: value_distribution(w),
+        "pair_to_json": lambda: pair_to_json(10, 2, w, E),
+        "pair_from_json": lambda: pair_from_json(doc),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, walk in walkers.items():
+            walk()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(walkers, 0)
 
 
 def test_tree_depth():
