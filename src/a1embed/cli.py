@@ -106,7 +106,10 @@ def _json_text(doc) -> str:
     text = atom(doc)
     if text is not None:
         return text
-    walk(doc, "\n")
+    try:
+        walk(doc, "\n")
+    finally:
+        del walk    # walk calls itself through this cell: free the pieces now
     return "".join(out)
 
 

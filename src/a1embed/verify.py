@@ -414,6 +414,7 @@ class OracleBucket:
 
 @dataclass
 class OracleTable:
+    """Buckets (x, y) -> OracleBucket, in key order; every reader sorts too."""
     depth: int
     n: int
     grid: tuple
@@ -430,21 +431,18 @@ class OracleTable:
         return DyadicWeight(self.n, wtree), DyadicSet(self.n, etree)
 
     def to_json(self) -> dict:
-        rows = []
         shared = {id(b.leaves): b.leaves for b in self.buckets.values()}
         floats = {i: [float(v) for v in t] for i, t in shared.items()}
-        for (x, y), b in sorted(self.buckets.items()):
-            rows.append({"x": float(x), "y": float(y), "m": 1.0,
-                         "value": float(b.value),
-                         "leaves": floats[id(b.leaves)], "j": b.j})
+        rows = [{"x": float(x), "y": float(y), "m": 1.0, "value": float(b.value),
+                 "leaves": floats[id(b.leaves)], "j": b.j}
+                for (x, y), b in sorted(self.buckets.items())]
         return {"depth": self.depth, "n": self.n,
                 "grid": [float(v) for v in self.grid], "buckets": rows}
 
     def to_csv(self) -> str:
-        lines = ["x,y,m,value,witness_id"]
-        for wid, ((x, y), b) in enumerate(sorted(self.buckets.items())):
-            lines.append(f"{float(x):.17g},{float(y):.17g},1,"
-                         f"{float(b.value):.17g},{wid}")
+        lines = ["x,y,m,value,witness_id"] + [
+            f"{float(x):.17g},{float(y):.17g},1,{float(b.value):.17g},{wid}"
+            for wid, ((x, y), b) in enumerate(sorted(self.buckets.items()))]
         return "\n".join(lines) + "\n"
 
 
@@ -494,24 +492,29 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
                                                 for k in range(1, depth + 1))))
 
 
-def _pair(level: dict, bound: Fraction, floor: float) -> tuple[dict, list]:
+def _pair(level: dict, bound: Fraction, floor: float, root: bool) -> tuple[dict, list]:
     """Two subtrees of one level side by side, by max-plus convolution:
     `level` maps (leaf sum, min leaf) to, per j, (best top-j sum T, witness
-    rank), and a joined (S, m) stays when S <= bound * min(m, floor).
-    Entries T * W - (left rank * K + right rank) make `max` take the largest
-    T, then the smallest witness.  Returns the joined states, re-ranked, and
-    the table rank -> (left rank, right rank)."""
+    rank), and a joined (S, m) stays when S <= bound * min(m, floor) and, with
+    `root`, m = floor.  Right states are walked in S order up to the left
+    state's own bound, past which none passes.  Entries T * W - (left rank
+    * K + right rank) make `max` take the largest T, then the smallest
+    witness.  Returns the joined states, re-ranked, and the table rank ->
+    (left rank, right rank)."""
     qn, qd = bound.numerator, bound.denominator
     K = 1 + max(r for E in level.values() for _, r in E)
     W = K * K
-    right = [(S, m, [t * W - r for t, r in E]) for (S, m), E in level.items()]
+    right = sorted((S, m, [t * W - r for t, r in E]) for (S, m), E in level.items())
     out: dict = {}
     for (S, m), E in level.items():
         left = [t * W - r * K for t, r in E]
-        n = len(left)
+        n, top = len(left), qn * min(m, floor)
         for Sr, mr, er in right:
+            if (S + Sr) * qd > top:
+                break
             state = (S + Sr, min(m, mr))
-            if state[0] * qd <= qn * min(state[1], floor):
+            if (state[0] * qd <= qn * min(state[1], floor)
+                    and (state[1] == floor or not root)):
                 acc = out.setdefault(state, [-math.inf] * (2 * n - 1))
                 for j, e in enumerate(er):
                     acc[j:j + n] = map(max, acc[j:j + n], map(e.__add__, left))
@@ -527,10 +530,11 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     A node of N = 2^d children is built in d halvings (`_pair`) and kept
     only when sum <= Q * leaves * min, which loses nothing (the
     characteristic is the largest average/minimum over nodes); a half node
-    is cut by its node's bound, and the root keeps min 1.  Buckets key on
-    (measure j/N^depth, average rounded UP to a step of 0.05(Q-1)), so the
-    closed form at the label dominates; each keeps the lex-smallest leaf
-    tuple among its maximizers, the first in itertools.product order.
+    is cut by its node's bound, and the root's last halving keeps min 1.
+    Buckets key on (measure j/N^depth, average rounded UP to a step of
+    0.05(Q-1)), so the closed form at the label dominates, and come out in
+    key order; each keeps the lex-smallest leaf tuple among its maximizers,
+    the first in itertools.product order.
     Needs depth >= 1; ORACLE_CAP bounds N^depth, states^N per level and
     N^(2 depth), the size of the witness output.
     """
@@ -550,7 +554,8 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
         if lv > 1:
             _cap(len(level), N, f"combinations at level {lv}")
         for _ in range(p.d):    # the root's min is 1
-            level, tab = _pair(level, Qf * N**lv, D if lv == depth else math.inf)
+            level, tab = _pair(level, Qf * N**lv, D if lv == depth else math.inf,
+                               len(tabs) == p.d * depth - 1)
             tabs.append(tab)
     memo = {(0, i): (v,) for i, v in enumerate(grid)}
 
@@ -559,19 +564,20 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
             memo[k, r] = sum((unfold(k - 1, c) for c in tabs[k - 1][r]), ())
         return memo[k, r]
 
-    leaves, h = N**depth, (Qf - 1) / 20     # at Q = 1 every y is 1
+    DL, h = D * N**depth, (Qf - 1) / 20     # at Q = 1 every S is DL: c = 0
     best: dict = {}
-    for (S, m), E in level.items():
-        if m != D:
-            continue
-        y = Fraction(S, D * leaves)
-        ylabel = Fraction(1) if y == 1 else 1 + math.ceil((y - 1) / h) * h
+    for (S, _), E in level.items():     # y = S/DL rounds up to 1 + c h
+        c = -((DL - S) * h.denominator // (DL * h.numerator)) if S > DL else 0
         for j, (t, r) in enumerate(E[1:], 1):
-            best[j, ylabel] = max(best.get((j, ylabel), (-1, 0)), (t, -r))
-    return OracleTable(depth, N, tuple(grid), {
-        (Fraction(j, leaves), ylabel): OracleBucket(
-            Fraction(t, D * leaves), unfold(len(tabs), -r), j)
-        for (j, ylabel), (t, r) in best.items()})
+            best[j, c] = max(best.get((j, c), (-1, 0)), (t, -r))
+    xs = {j: Fraction(j, N**depth) for j, _ in best}
+    ys = {c: 1 + c * h for _, c in best}
+    try:
+        return OracleTable(depth, N, tuple(grid), {
+            (xs[j], ys[c]): OracleBucket(Fraction(t, DL), unfold(len(tabs), -r), j)
+            for (j, c), (t, r) in sorted(best.items())})
+    finally:
+        del unfold      # unfold calls itself through this cell: free memo now
 
 
 def oracle_vs_closed_form(table: OracleTable, p: Params,

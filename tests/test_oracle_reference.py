@@ -16,11 +16,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from a1embed import DyadicWeight, a1_characteristic, new_params
+from a1embed import DyadicWeight, a1_characteristic, new_params, verify
 from a1embed.verify import (
     OracleBucket,
     OracleTable,
     _nest,
+    _pair,
     brute_force_oracle,
     default_value_grid,
     oracle_vs_closed_form,
@@ -76,7 +77,7 @@ def assert_same_oracle(p, depth, grid):
     got = brute_force_oracle(p, depth, grid)
     want = reference_oracle(p, depth, grid)
     assert got.grid == want.grid
-    assert sorted(got.buckets) == sorted(want.buckets)
+    assert list(got.buckets) == sorted(want.buckets)     # built in key order
     for key, b in want.buckets.items():
         assert got.buckets[key] == b            # value, witness leaves and j
     assert got.to_json() == want.to_json()
@@ -98,11 +99,85 @@ def test_oracle_matches_reference_enumeration(Q, d, depth, spec, size):
 
 # values on a coarse lattice, so equal sums, equal top-j sums and tied
 # witnesses are common: the tie-break is what this exercises
-@settings(max_examples=60, deadline=None)
-@given(Q=st.sampled_from([1, 1.5, 2, 3, 10]),
+@settings(max_examples=100, deadline=None)
+@given(Q=st.sampled_from([1, 1.25, 1.5, 2, 2.5, 3, 4, 7, 10]),
        shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
        rest=st.sets(st.fractions(min_value=1, max_value=8, max_denominator=4)
                     .filter(lambda v: v != 1), min_size=1, max_size=3))
 def test_oracle_matches_reference_on_random_grids(Q, shape, rest):
     d, depth = shape
     assert_same_oracle(new_params(Q, d), depth, [F(1), *rest])
+
+
+def uncut_pair(level, bound, floor, root):
+    """`_pair` as a plain loop over every (left, right) pair of states: the
+    joined state per j keeps the largest T, then the lex-smallest (left
+    rank, right rank); returns state -> [(T, (left rank, right rank))]."""
+    out = {}
+    for (S, m), E in level.items():
+        for (Sr, mr), Er in level.items():
+            state = (S + Sr, min(m, mr))
+            if (state[0] > bound * min(state[1], floor)
+                    or root and state[1] != floor):
+                continue
+            acc = out.setdefault(state, {})
+            for a, (t, r) in enumerate(E):
+                for b, (tr, rr) in enumerate(Er):
+                    acc[a + b] = max(acc.get(a + b, (-math.inf, ())),
+                                     (t + tr, (-r, -rr)))
+    return {state: [(t, (-r, -rr)) for t, (r, rr) in
+                    (acc[j] for j in range(len(acc)))]
+            for state, acc in out.items()}
+
+
+def readable(joined, tab):
+    """`_pair`'s output with each rank read back as its (left, right) pair."""
+    return {state: [(t, tab[r]) for t, r in E] for state, E in joined.items()}
+
+
+@st.composite
+def levels(draw):
+    """A level of (S, m) -> per j (T, rank) over `n` leaves, mins on D..4D."""
+    D, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    keys = draw(st.sets(st.tuples(st.integers(1, 4), st.integers(0, 6)),
+                        min_size=1, max_size=8))
+    level = {}
+    for a, extra in sorted(keys):
+        m = a * D
+        tops = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+        level[m * n + extra, m] = [(0, draw(st.integers(0, 5)))] + [
+            (m * j + t, draw(st.integers(0, 5))) for j, t in enumerate(tops, 1)]
+    return level, D
+
+
+@settings(max_examples=300, deadline=None)
+@given(lv=levels(), bound=st.fractions(min_value=1, max_value=12,
+                                       max_denominator=3),
+       floor=st.sampled_from(["inf", "D"]), root=st.booleans())
+def test_pair_keeps_what_every_pair_keeps(lv, bound, floor, root):
+    # the sorted walk and its stop must lose no state, entry or witness, and
+    # the root keeps exactly the states of min `floor`
+    level, D = lv
+    floor = D if floor == "D" or root else math.inf
+    assert (readable(*_pair(level, bound, floor, root))
+            == uncut_pair(level, bound, floor, root))
+
+
+@pytest.mark.parametrize("Q,d,depth,grid", [
+    (2, 1, 2, None), (10, 2, 1, None), (3, 2, 2, (F(1), F(3, 2), F(3))),
+    (2, 3, 1, (F(1), F(2))),
+])
+def test_only_the_last_halving_keeps_min_one(monkeypatch, Q, d, depth, grid):
+    # every halving of a real run keeps what the all-pairs loop keeps, and
+    # only the root's last halving drops the states whose min is not 1
+    calls = []
+
+    def spy(level, bound, floor, root):
+        joined, tab = _pair(level, bound, floor, root)
+        assert readable(joined, tab) == uncut_pair(level, bound, floor, root)
+        calls.append(root)
+        return joined, tab
+
+    monkeypatch.setattr(verify, "_pair", spy)
+    brute_force_oracle(new_params(Q, d), depth, grid)
+    assert calls == [False] * (d * depth - 1) + [True]

@@ -1,5 +1,6 @@
 """Samplers, property suites, weak-type endpoint, and the brute-force oracle."""
 
+import gc
 import itertools
 import math
 import time
@@ -32,7 +33,7 @@ from a1embed import (
 )
 from a1embed import verify
 from a1embed.bellman import _upper_vec, _wedge_vec
-from a1embed.cli import main
+from a1embed.cli import _json_text, main
 from a1embed.verify import SUITES
 
 
@@ -369,6 +370,23 @@ def test_oracle_folds_no_tree_per_assignment(p21, monkeypatch):
     want = brute_force_oracle(p21, 2).to_json()
     monkeypatch.setattr(verify, "DyadicWeight", refuse)
     assert brute_force_oracle(p21, 2).to_json() == want
+
+
+def test_oracle_and_json_writer_leave_no_reference_cycles(p21):
+    # as in dyadic's walkers: a nested function that calls itself through its
+    # closure cell keeps the oracle's witness memo, or the JSON writer's
+    # pieces, alive until the cyclic GC runs
+    doc = brute_force_oracle(p21, 2).to_json()
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_oracle(p21, 2)
+        left = [gc.collect()]
+        _json_text(doc)
+        left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left == [0, 0]
 
 
 def test_oracle_serialization(p21):
