@@ -41,7 +41,8 @@ from numbers import Rational
 from operator import is_
 from typing import Any, Union
 
-from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX, new_params
+from .params import CONCAT_DIGITS_MAX, CORNER_K_MAX, DIGITS_MAX, DomainError, \
+    new_params
 
 WeightNode = Union[float, Fraction, tuple]
 SetNode = Union[bool, tuple]
@@ -424,10 +425,14 @@ def _set_leaf(marker) -> bool:
 
 
 def pair_to_json(Q: float, d: int, w: DyadicWeight, E: DyadicSet) -> dict:
+    try:
+        weight = _tree_to_json(w.tree, lambda v: {"leaf": float(v)})
+    except OverflowError:
+        raise DomainError("a weight leaf overflows a float") from None
     return {
         "Q": Q,
         "d": d,
-        "weight": _tree_to_json(w.tree, lambda v: {"leaf": float(v)}),
+        "weight": weight,
         "set": _tree_to_json(
             E.tree, lambda v: {"set": "full" if v else "empty"}),
     }

@@ -54,6 +54,7 @@ from .params import (
     CONCAT_DIGITS_MAX,
     CORNER_K_MAX,
     DIGITS_MAX,
+    PAIR_ENTRIES_MAX,
     DegenerateParamsError,
     DomainError,
     InvariantError,
@@ -198,6 +199,15 @@ def _pair_on_q_edge(p: Params, u: float, depth: int, exact: bool) -> ExtremalPai
                        build_corner(p, k, exact=exact), depth)
 
 
+def _check_entries(p: Params, nodes: int) -> None:
+    """Refuse, before building, a pair of up to `nodes` distinct internal
+    nodes whose N children each would take the JSON past PAIR_ENTRIES_MAX."""
+    if p.N * nodes > PAIR_ENTRIES_MAX:
+        raise DomainError(f"the pair may hold {p.N * nodes} entries "
+                          f"({nodes} nodes of {p.N} children), past the cap "
+                          f"{PAIR_ENTRIES_MAX}; lower d or depth")
+
+
 def build_extremizer(p: Params, x: float, y: float, depth: int,
                      exact: bool = False) -> ExtremalPair:
     """Near-extremal pair for any (x, y) in the domain.
@@ -219,11 +229,17 @@ def build_extremizer(p: Params, x: float, y: float, depth: int,
     one = Fraction(1) if exact else 1.0
     trivial = _finalize(p, DyadicWeight(p.N, one), empty)
 
+    # nodes, at most: n concatenated digits add n weight and n set nodes,
+    # corner k k + 1 and k, a boundary weight 1 (k past CORNER_K_MAX refuses)
     if _on_lower_branch(p, x, y):
+        _check_entries(p, 2 * depth + 1)
         yprime = min(1 + (y - 1) / x, p.Q)
         return concatenate(p, x, trivial,
                            boundary_weight(p, yprime, exact=exact), depth)
     lam = (y - 1) / (p.Q - 1)
     u = min(x * (p.Q - 1) / (y - 1), 1.0)
-    edge = _pair_on_q_edge(p, u, _inner_digits(p, depth), exact)
+    inner = _inner_digits(p, depth)
+    k = min(_interval_index(p, u)[0], CORNER_K_MAX) if u < 1 - BOUNDARY_TOL else 0
+    _check_entries(p, 2 * (depth + inner) + 4 * k + 4)
+    edge = _pair_on_q_edge(p, u, inner, exact)
     return concatenate(p, lam, trivial, edge, depth)

@@ -25,13 +25,18 @@ BOUNDARY_TOL = 1e-12
 DIGITS_MAX = 32
 CONCAT_DIGITS_MAX = 40
 CORNER_K_MAX = 32
+# Child entries a constructed pair's JSON may hold: N per distinct internal
+# node of its two trees.  Admits every construction at d <= 14.
+PAIR_ENTRIES_MAX = 5_000_000
 
 
 def at_least(lhs, rhs, tol: float = 1e-9, slack=None):
     """lhs >= rhs up to tol, the one pass rule: slack = lhs - rhs (or the
-    caller's rounding of it) >= -tol * max(1, |lhs|, |rhs|), row by row."""
+    caller's rounding of it) >= -tol * max(1, |lhs|, |rhs|), row by row.
+    A slack of -inf fails, although an infinite side makes -tol * inf."""
     s = lhs - rhs if slack is None else slack
-    return (s >= -tol) | (s >= -tol * abs(lhs)) | (s >= -tol * abs(rhs))
+    return (((s >= -tol) | (s >= -tol * abs(lhs)) | (s >= -tol * abs(rhs)))
+            & (s > -math.inf))
 
 
 class DomainError(ValueError):

@@ -10,8 +10,8 @@ Three kinds of evidence, none of which trusts the formulas being tested:
     the weak-type bound on explicit weights;
   * an exhaustive oracle over every grid-valued weight of characteristic
     <= Q on a small dyadic tree: a max-plus dynamic program over subtree
-    states (leaf sum, min leaf), with back-pointers to lex-smallest
-    witnesses, tabulates the best mass per (set measure, average), exactly.
+    states (leaf sum, min leaf), ranking witnesses in product order,
+    tabulates the best mass per (set measure, average), exactly.
 
 Randomness is counter-based (Philox keyed by (seed, stream)) over a
 fixed chunk plan, so a report depends only on its arguments.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
@@ -321,8 +322,9 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
         raise DomainError("branch continuity needs Q > 1")
     x = np.linspace(1e-9, 1.0, n_samples)
     y = 1 + (p.Q - 1) * x
-    # where y rounded below the line, one step up puts u = x(Q-1)/(y-1) <= 1
-    y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, np.inf), y)
+    # where y rounded below the line, one step up puts u = x(Q-1)/(y-1) <= 1;
+    # such a y is below Q, so stepping toward Q is that step, and y = Q stays
+    y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, p.Q), y)
 
     def draw(g, c, _):
         lhs, rhs = x + y - 1, _upper_vec(p, x, y)
@@ -379,14 +381,16 @@ def check_weak_type(w: DyadicWeight, p_exp: float,
     average, minimum, char = _summary(w.tree, w.n)
     if minimum != 1:
         raise DomainError("weak-type check needs a weight with min leaf 1")
+    dist = value_distribution(w)
+    values = sorted(dist, reverse=True)
+    if values[0] > sys.float_info.max:      # char and the average are smaller
+        raise DomainError("weak-type check: a leaf overflows a float")
     char = float(char)
     p_star = endpoint_exponent(w.n, char) if char > 1 else math.inf
     if p_exp > p_star * (1 + 1e-12):
         return CheckReport("weak-type", 0, math.inf, None, True,
                            f"inapplicable: p={p_exp:.6g} beyond endpoint "
                            f"{p_star:.6g} for characteristic {char:.6g}")
-    dist = value_distribution(w)
-    values = sorted(dist, reverse=True)
     integral = float(average)
     sup = 0.0
     witness = None
@@ -432,12 +436,16 @@ class OracleTable:
 
     def to_json(self) -> dict:
         shared = {id(b.leaves): b.leaves for b in self.buckets.values()}
-        floats = {i: [float(v) for v in t] for i, t in shared.items()}
+        try:
+            floats = {i: [float(v) for v in t] for i, t in shared.items()}
+            grid = [float(v) for v in self.grid]
+        except OverflowError:
+            raise DomainError("a grid value overflows a float; the CSV "
+                              "writes no leaves") from None
         rows = [{"x": float(x), "y": float(y), "m": 1.0, "value": float(b.value),
                  "leaves": floats[id(b.leaves)], "j": b.j}
                 for (x, y), b in sorted(self.buckets.items())]
-        return {"depth": self.depth, "n": self.n,
-                "grid": [float(v) for v in self.grid], "buckets": rows}
+        return {"depth": self.depth, "n": self.n, "grid": grid, "buckets": rows}
 
     def to_csv(self) -> str:
         lines = ["x,y,m,value,witness_id"] + [
@@ -492,22 +500,21 @@ def default_value_grid(p: Params, depth: int, grid_size: int = 6) -> list[Fracti
                                                 for k in range(1, depth + 1))))
 
 
-def _pair(level: dict, bound: Fraction, floor: float, root: bool) -> tuple[dict, list]:
+def _pair(level: dict, bound: Fraction, floor: float, root: bool, shift: int) -> dict:
     """Two subtrees of one level side by side, by max-plus convolution:
     `level` maps (leaf sum, min leaf) to, per j, (best top-j sum T, witness
     rank), and a joined (S, m) stays when S <= bound * min(m, floor) and, with
     `root`, m = floor.  Right states are walked in S order up to the left
-    state's own bound, past which none passes.  Entries T * W - (left rank
-    * K + right rank) make `max` take the largest T, then the smallest
-    witness.  Returns the joined states, re-ranked, and the table rank ->
-    (left rank, right rank)."""
+    state's own bound, past which none passes.  A rank is its leaf tuple's
+    index in itertools.product order, below `shift` on each side, so the
+    joined witness's rank is left * shift + right; entries T * shift^2 minus
+    that rank make `max` take the largest T, then the first witness."""
     qn, qd = bound.numerator, bound.denominator
-    K = 1 + max(r for E in level.values() for _, r in E)
-    W = K * K
+    W = shift * shift
     right = sorted((S, m, [t * W - r for t, r in E]) for (S, m), E in level.items())
     out: dict = {}
     for (S, m), E in level.items():
-        left = [t * W - r * K for t, r in E]
+        left = [t * W - r * shift for t, r in E]
         n, top = len(left), qn * min(m, floor)
         for Sr, mr, er in right:
             if (S + Sr) * qd > top:
@@ -518,10 +525,8 @@ def _pair(level: dict, bound: Fraction, floor: float, root: bool) -> tuple[dict,
                 acc = out.setdefault(state, [-math.inf] * (2 * n - 1))
                 for j, e in enumerate(er):
                     acc[j:j + n] = map(max, acc[j:j + n], map(e.__add__, left))
-    keys = sorted({-s % W for acc in out.values() for s in acc})
-    rank = {k: i for i, k in enumerate(keys)}
-    return ({state: [(-t, rank[k]) for t, k in (divmod(-s, W) for s in acc)]
-             for state, acc in out.items()}, [divmod(k, K) for k in keys])
+    return {state: [(-t, r) for t, r in (divmod(-s, W) for s in acc)]
+            for state, acc in out.items()}
 
 
 def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
@@ -533,8 +538,9 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     is cut by its node's bound, and the root's last halving keeps min 1.
     Buckets key on (measure j/N^depth, average rounded UP to a step of
     0.05(Q-1)), so the closed form at the label dominates, and come out in
-    key order; each keeps the lex-smallest leaf tuple among its maximizers,
-    the first in itertools.product order.
+    key order.  Each keeps its largest mass, then its smallest rank: the
+    leaf tuple's index in itertools.product(grid, repeat=N^depth) order,
+    grid indices read as base-len(grid) digits, first leaf most significant.
     Needs depth >= 1; ORACLE_CAP bounds N^depth, states^N per level and
     N^(2 depth), the size of the witness output.
     """
@@ -549,21 +555,14 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
     _cap(N, 2 * depth, "witness leaves")    # N^depth leaves per set size
     D = math.lcm(*(v.denominator for v in grid))    # integer sums over D
     level = {(a, a): [(0, i), (a, i)] for i, a in enumerate(int(v * D) for v in grid)}
-    tabs = []           # tabs[k - 1]: rank -> (left, right) of halving k
+    shift = len(grid)       # one side's ranks lie below shift
     for lv in range(1, depth + 1):
         if lv > 1:
             _cap(len(level), N, f"combinations at level {lv}")
-        for _ in range(p.d):    # the root's min is 1
-            level, tab = _pair(level, Qf * N**lv, D if lv == depth else math.inf,
-                               len(tabs) == p.d * depth - 1)
-            tabs.append(tab)
-    memo = {(0, i): (v,) for i, v in enumerate(grid)}
-
-    def unfold(k: int, r: int) -> tuple:
-        if (k, r) not in memo:
-            memo[k, r] = sum((unfold(k - 1, c) for c in tabs[k - 1][r]), ())
-        return memo[k, r]
-
+        for half in range(p.d):     # the root's min is 1
+            level = _pair(level, Qf * N**lv, D if lv == depth else math.inf,
+                          lv == depth and half == p.d - 1, shift)
+            shift *= shift
     DL, h = D * N**depth, (Qf - 1) / 20     # at Q = 1 every S is DL: c = 0
     best: dict = {}
     for (S, _), E in level.items():     # y = S/DL rounds up to 1 + c h
@@ -572,12 +571,12 @@ def brute_force_oracle(p: Params, depth: int, value_grid=None) -> OracleTable:
             best[j, c] = max(best.get((j, c), (-1, 0)), (t, -r))
     xs = {j: Fraction(j, N**depth) for j, _ in best}
     ys = {c: 1 + c * h for _, c in best}
-    try:
-        return OracleTable(depth, N, tuple(grid), {
-            (xs[j], ys[c]): OracleBucket(Fraction(t, DL), unfold(len(tabs), -r), j)
-            for (j, c), (t, r) in sorted(best.items())})
-    finally:
-        del unfold      # unfold calls itself through this cell: free memo now
+    places = [len(grid)**k for k in reversed(range(N**depth))]
+    leaves = {r: tuple(grid[r // q % len(grid)] for q in places)
+              for r in {-r for _, r in best.values()}}  # one tuple per witness
+    return OracleTable(depth, N, tuple(grid), {
+        (xs[j], ys[c]): OracleBucket(Fraction(t, DL), leaves[-r], j)
+        for (j, c), (t, r) in sorted(best.items())})
 
 
 def oracle_vs_closed_form(table: OracleTable, p: Params,
@@ -635,6 +634,14 @@ def _weak_type_suite(p: Params, n_samples: Optional[int] = None, seed: int = 0,
                        f"corner pairs k=0..8 at p={pexp:.6g}")
 
 
+# The largest quantity a suite forms is Q * 2^(a d + b): N Q in the three
+# samplers (N y, y/(N Q)), 4 Q in homogeneity (t y with t, m < 2),
+# (Q - 1) N^k x in wedge domination, and in weak-type corner 8's heavy leaf
+# (N eta)^8 (1 + N (Q - 1)) < N^9 Q.  The others form nothing past Q.
+_GROWTH = {"main-inequality-M": (1, 0), "main-inequality-B": (1, 0),
+           "wedge": (1, 0), "homogeneity": (0, 2),
+           "wedge-domination": (DOMINATION_K_MAX, 0), "weak-type": (9, 0)}
+
 SUITES: dict[str, Callable[..., CheckReport]] = {
     "main-inequality-M": check_main_inequality_M,
     "main-inequality-B": check_main_inequality_B,
@@ -658,12 +665,15 @@ def run_suite(p: Params, name: str, n_samples: Optional[int] = None,
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"suites need a finite tol >= 0, got {tol}")
     names = list(SUITES) if name == "all" else [name]
-    out = []
     for nm in names:
         if nm not in SUITES:
             raise ValueError(f"unknown suite {nm!r}; choose from "
                              f"{', '.join(SUITES)} or 'all'")
-        kw = {k: v for k, v in (("n_samples", n_samples), ("tol", tol))
-              if v is not None}
-        out.append(SUITES[nm](p, seed=seed, **kw))
-    return out
+        a, b = _GROWTH.get(nm, (0, 0))
+        top = math.ldexp(sys.float_info.max, -(a * p.d + b))
+        if p.Q > top:
+            raise DomainError(f"{nm} forms Q * 2^{a * p.d + b}, past the "
+                              f"largest float; it needs Q <= {top:.6g}")
+    kw = {k: v for k, v in (("n_samples", n_samples), ("tol", tol))
+          if v is not None}
+    return [SUITES[nm](p, seed=seed, **kw) for nm in names]

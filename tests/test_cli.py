@@ -281,6 +281,42 @@ def test_extremize_passes_at_large_q(capsys, Q, x, f):
     assert json.loads(out)["achieved"]["char"] <= Q * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("verify --Q 1e306 --d 1 --suite weak-type", "weak-type forms Q * 2^9,"),
+    ("verify --Q 1e290 --d 10 --suite weak-type", "weak-type forms Q * 2^90,"),
+    ("verify --Q 1e306 --d 1", "wedge-domination forms Q * 2^10,"),
+    ("verify --Q 1e308 --d 1 --samples 1000", "main-inequality-M forms Q * 2^1,"),
+    ("oracle --Q 1.7e308 --d 2 --depth 1 --format json",
+     "a grid value overflows a float"),
+    ("extremize --Q 1.7e308 --d 1 --x 0.3 --y 1e308 --depth 8 --exact",
+     "a weight leaf overflows a float"),
+    ("extremize --Q 1.7e308 --d 1 --x 0.3 --y 1e308 --depth 8",
+     "characteristic inf > Q"),
+])
+def test_huge_q_exits_two_with_an_error_line(capsys, argv, message):
+    # one error line each: no traceback, no verdict on overflowed arithmetic
+    # and no pair with an infinite leaf
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_oracle_csv_writes_no_leaves_at_huge_q(capsys):
+    rc, out, err = run(capsys, "oracle", "--Q", "1.7e308", "--d", "2",
+                       "--depth", "1")
+    assert rc == 0 and len(out.splitlines()) == 26 and "PASS" in err
+
+
+def test_extremize_refuses_a_pair_past_the_entry_cap(capsys):
+    # 20 nodes of 2^20 children, refused before the build
+    t = time.perf_counter()
+    rc, out, err = run(capsys, "extremize", "--Q", "10", "--d", "20", "--x",
+                       "0.3", "--y", "8", "--depth", "2")
+    assert (rc, out) == (2, "")
+    assert "may hold 20971520 entries" in err and "cap 5000000" in err
+    assert time.perf_counter() - t < 5
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_verify_bad_tol(capsys, tol):
     # inf passed every suite, nan failed every one, -1 failed concavity

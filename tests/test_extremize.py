@@ -26,6 +26,13 @@ from a1embed import (
     new_params,
     stats,
 )
+from a1embed import extremize
+from a1embed.params import (
+    CONCAT_DIGITS_MAX,
+    CORNER_K_MAX,
+    DIGITS_MAX,
+    PAIR_ENTRIES_MAX,
+)
 
 
 def test_boundary_pair_stats(p102):
@@ -292,6 +299,37 @@ for leaves in cases:
     else:
         sys.exit("no error")
 """
+
+
+def _internal_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node)
+    return len(seen)
+
+
+@pytest.mark.parametrize("Q, d", [(10, 1), (1.5, 2), (10, 3)])
+@pytest.mark.parametrize("x, y", [(0.3, 8), (0.05, 1.4), (0.25, 1.5), (1, 1.5),
+                                  (0.5, 1.2), (2**-9, 1.5)])
+@pytest.mark.parametrize("depth", [1, 7, 32])
+def test_entry_count_bounds_the_pair_built(monkeypatch, Q, d, x, y, depth):
+    # the count checked before the build covers every internal node of both
+    # trees, each of which the JSON writes with its N children
+    counted = []
+    monkeypatch.setattr(extremize, "_check_entries",
+                        lambda p, nodes: counted.append(nodes))
+    p = new_params(Q, d)
+    pair = build_extremizer(p, x, min(y, Q), depth)
+    assert len(counted) == 1
+    assert _internal_nodes(pair.w.tree) + _internal_nodes(pair.E.tree) <= counted[0]
+
+
+def test_entry_cap_admits_every_construction_at_d_14():
+    nodes = 2 * (DIGITS_MAX + CONCAT_DIGITS_MAX) + 4 * CORNER_K_MAX + 4
+    assert 2**14 * nodes <= PAIR_ENTRIES_MAX
 
 
 def test_finalize_invariants_survive_optimize_flag():

@@ -130,24 +130,29 @@ def uncut_pair(level, bound, floor, root):
             for state, acc in out.items()}
 
 
-def readable(joined, tab):
-    """`_pair`'s output with each rank read back as its (left, right) pair."""
-    return {state: [(t, tab[r]) for t, r in E] for state, E in joined.items()}
+def readable(joined, shift):
+    """`_pair`'s output with each rank read back as its (left, right) pair:
+    the joined rank is left * shift + right, the two tuples side by side."""
+    return {state: [(t, divmod(r, shift)) for t, r in E]
+            for state, E in joined.items()}
 
 
 @st.composite
 def levels(draw):
-    """A level of (S, m) -> per j (T, rank) over `n` leaves, mins on D..4D."""
+    """A level of (S, m) -> per j (T, rank) over `n` leaves, mins on D..4D,
+    and ranks below `shift`."""
     D, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shift = draw(st.integers(1, 6))
     keys = draw(st.sets(st.tuples(st.integers(1, 4), st.integers(0, 6)),
                         min_size=1, max_size=8))
     level = {}
     for a, extra in sorted(keys):
         m = a * D
         tops = sorted(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
-        level[m * n + extra, m] = [(0, draw(st.integers(0, 5)))] + [
-            (m * j + t, draw(st.integers(0, 5))) for j, t in enumerate(tops, 1)]
-    return level, D
+        level[m * n + extra, m] = [(0, draw(st.integers(0, shift - 1)))] + [
+            (m * j + t, draw(st.integers(0, shift - 1)))
+            for j, t in enumerate(tops, 1)]
+    return level, D, shift
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,9 +162,9 @@ def levels(draw):
 def test_pair_keeps_what_every_pair_keeps(lv, bound, floor, root):
     # the sorted walk and its stop must lose no state, entry or witness, and
     # the root keeps exactly the states of min `floor`
-    level, D = lv
+    level, D, shift = lv
     floor = D if floor == "D" or root else math.inf
-    assert (readable(*_pair(level, bound, floor, root))
+    assert (readable(_pair(level, bound, floor, root, shift), shift)
             == uncut_pair(level, bound, floor, root))
 
 
@@ -172,11 +177,11 @@ def test_only_the_last_halving_keeps_min_one(monkeypatch, Q, d, depth, grid):
     # only the root's last halving drops the states whose min is not 1
     calls = []
 
-    def spy(level, bound, floor, root):
-        joined, tab = _pair(level, bound, floor, root)
-        assert readable(joined, tab) == uncut_pair(level, bound, floor, root)
+    def spy(level, bound, floor, root, shift):
+        joined = _pair(level, bound, floor, root, shift)
+        assert readable(joined, shift) == uncut_pair(level, bound, floor, root)
         calls.append(root)
-        return joined, tab
+        return joined
 
     monkeypatch.setattr(verify, "_pair", spy)
     brute_force_oracle(new_params(Q, d), depth, grid)

@@ -136,6 +136,11 @@ def test_at_least_is_absolute_below_one_and_relative_above():
     # the caller's slack is judged, not lhs - rhs
     assert at_least(1e9, 1e9, slack=-1.0) and not at_least(1e9, 1e9, slack=-2.0)
     assert at_least(2.0, 1.0) is True and at_least(1.0, 2.0) is False
+    # an infinite side makes -tol * inf, which no slack may meet
+    assert at_least(10.0, math.inf) is False
+    assert at_least(-math.inf, 1.0) is False
+    assert at_least(1.0, 2.0, slack=-math.inf) is False
+    assert at_least(math.inf, 1.0) is True and not at_least(math.inf, math.inf)
 
 
 def test_at_least_judges_arrays_row_by_row():
@@ -145,3 +150,5 @@ def test_at_least_judges_arrays_row_by_row():
     assert at_least(lhs, rhs).tolist() == [True, False, True]
     slack = lhs - rhs
     assert (at_least(lhs, rhs, slack=slack) == at_least(lhs, rhs)).all()
+    lhs, rhs = np.array([1.0, -math.inf, math.inf]), np.array([math.inf, 1.0, 1.0])
+    assert at_least(lhs, rhs).tolist() == [False, False, True]

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -241,6 +242,56 @@ def test_run_suite_unknown_name(p102):
         run_suite(p102, "no-such-suite")
 
 
+# the largest quantity each suite forms is Q * 2^e: N Q in the samplers,
+# 4 Q in homogeneity, Q N^10 in wedge domination, Q N^9 in weak-type
+GROWTH = {"main-inequality-M": (1, 0), "main-inequality-B": (1, 0),
+          "wedge": (1, 0), "homogeneity": (0, 2), "wedge-domination": (10, 0),
+          "weak-type": (9, 0)}
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("name", list(GROWTH))
+def test_run_suite_refuses_q_past_its_largest_float(monkeypatch, name, d):
+    # at the largest Q where Q * 2^e is finite the suite runs clean (a numpy
+    # overflow warning is an error here); one float above, it refuses before
+    # drawing anything
+    a, b = GROWTH[name]
+    top = math.ldexp(sys.float_info.max, -(a * d + b))
+    report, = run_suite(new_params(top, d), name, 100)
+    assert report.passed and math.isfinite(report.worst_slack)
+
+    def refuse(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(verify, "_gen", refuse)
+    with pytest.raises(DomainError, match=f"{name} forms Q \\* 2\\^{a * d + b},"
+                                          f" past the largest float"):
+        run_suite(new_params(math.nextafter(top, math.inf), d), name, 100)
+
+
+def test_run_suite_refuses_all_before_any_suite_runs(monkeypatch):
+    # wedge domination and weak-type pass the float range at Q = 1e306, d = 1;
+    # "all" refuses before any of its suites draws
+    monkeypatch.setattr(verify, "_gen", None)
+    with pytest.raises(DomainError, match="wedge-domination forms"):
+        run_suite(new_params(1e306, 1), "all")
+
+
+@pytest.mark.parametrize("name", sorted(set(SUITES) - set(GROWTH)))
+def test_suites_forming_nothing_past_q_run_at_the_largest_q(name):
+    report, = run_suite(new_params(sys.float_info.max, 10), name, 100)
+    assert report.passed and math.isfinite(report.worst_slack)
+
+
+def test_weak_type_refuses_a_leaf_past_the_largest_float():
+    # corner k's heavy leaf is near N^(k+1) Q: 2.6e308 at k = 7, 1.3e308 at 6
+    p = new_params(1e306, 1)
+    with pytest.raises(DomainError, match="a leaf overflows a float"):
+        check_weak_type(build_corner(p, 7, exact=True).w, osekowski_p_max(p))
+    assert check_weak_type(build_corner(p, 6, exact=True).w,
+                           osekowski_p_max(p)).passed
+
+
 def test_weak_type_sharp_on_corners(p102):
     pm = osekowski_p_max(p102)
     for k in (0, 1, 3, 5):
@@ -317,12 +368,18 @@ def test_oracle_witness_rebuild(p21):
         assert float(st.char) <= p21.Q
 
 
-@pytest.mark.parametrize("Q,d,depth", [(2, 1, 4), (2, 2, 2)])
-def test_oracle_witnesses_refold_exactly(Q, d, depth):
-    # 1, N eta and 1 + N(Q-1) at d = 1; 16 leaves, 3^16 assignments, each
+@pytest.mark.parametrize("Q,d,depth,grid", [
+    (2, 1, 4, (1, Fraction(3, 2), 3)),  # 1, N eta and 1 + N(Q-1) at d = 1
+    (2, 2, 2, (1, Fraction(3, 2), 3)),  # 16 leaves, 3^16 assignments, each
+    (2, 1, 6, (1, Fraction(3, 2))),     # 64 leaves: entries T 2^64 - rank
+], ids=["2-1-4", "2-2-2", "2-1-6"])
+def test_oracle_witnesses_refold_exactly(Q, d, depth, grid):
     p = new_params(Q, d)
-    table = brute_force_oracle(p, depth, [1, Fraction(3, 2), 3])
+    table = brute_force_oracle(p, depth, grid)
     assert oracle_vs_closed_form(table, p).passed
+    ranks = {int("".join(str(grid.index(v)) for v in b.leaves), len(grid))
+             for b in table.buckets.values()}     # product-order index
+    assert (max(ranks) >= 2**62) == (depth == 6)    # past int64 arithmetic
     h = (Fraction(Q) - 1) / 20
     for key, b in table.buckets.items():
         st = stats(*table.witness_pair(key))
@@ -374,8 +431,8 @@ def test_oracle_folds_no_tree_per_assignment(p21, monkeypatch):
 
 def test_oracle_and_json_writer_leave_no_reference_cycles(p21):
     # as in dyadic's walkers: a nested function that calls itself through its
-    # closure cell keeps the oracle's witness memo, or the JSON writer's
-    # pieces, alive until the cyclic GC runs
+    # closure cell keeps the JSON writer's pieces alive until the cyclic GC
+    # runs; the oracle, which decodes its witnesses without one, leaves none
     doc = brute_force_oracle(p21, 2).to_json()
     gc.collect()
     gc.disable()
