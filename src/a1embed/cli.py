@@ -7,7 +7,8 @@ verify (run check suites), oracle (exhaustive small-tree supremum).
 
 Every output starts with a header line echoing the resolved options, so
 identical invocations produce byte-identical files; exit codes are 0 on
-success, 1 when a verification suite fails, 2 on usage/domain errors.
+success, 1 when a verification suite fails, 2 on usage/domain errors
+and an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def cmd_table(p: Params, args) -> int:
         row = row if p.degenerate else _M_vec(p, row, yc, power)
         x = _fmt(x)
         lines += [f"{x},{y},{v:.17g}" for y, v in zip(y_texts, row.tolist())]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines.append("")    # the last newline, without a second copy of the text
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -175,7 +177,8 @@ def cmd_plot_data(p: Params, args) -> int:
              "x,f,f_smooth,f_over_Q,f_smooth_over_Q"]
     cols = (c.tolist() for c in (xs, f, fs, f / p.Q, fs / p.Q))
     lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % row for row in zip(*cols)]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines.append("")
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(new_params(args.Q, args.d), args)
-    except ValueError as exc:  # DomainError and the other library errors too
+    except (ValueError, OSError) as exc:  # DomainError, library errors, --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

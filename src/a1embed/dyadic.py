@@ -141,32 +141,23 @@ def make_set_node(children) -> SetNode:
     return children
 
 
-def _validate(root, n: int, max_depth: int, kind: str, check_leaf,
-              canonical: bool) -> None:
-    height: dict[int, int] = {}
-
-    def walk(node, depth) -> int:
-        # a shared node is walked once; its height checks the cap on revisits
-        h = height.get(id(node), 0)
-        if depth + h > max_depth:
-            raise ValueError(f"{kind} tree deeper than {max_depth}")
-        if _is_leaf(node):
-            check_leaf(node)
-        elif id(node) not in height:
-            if len(node) != n:
-                raise ValueError(f"internal node has {len(node)} children, want {n}")
-            if canonical and isinstance(make_set_node(node), bool):
-                raise ValueError("internal set node with uniform children "
-                                 "(not canonical)")
-            for c in node:
-                h = max(h, walk(c, depth + 1))
-            h = height[id(node)] = h + 1
-        return h
+def _validate(root, n: int, max_depth: int, kind: str, check_leaf) -> None:
+    # one fold to (height, leaf value or None); canonical form is checked on
+    # every tree, since a checked weight leaf is never a bool and never collapses
+    def inner(rs):
+        if len(rs) != n:
+            raise ValueError(f"internal node has {len(rs)} children, want {n}")
+        if isinstance(make_set_node(r[1] for r in rs), bool):
+            raise ValueError("internal set node with uniform children "
+                             "(not canonical)")
+        return 1 + max(r[0] for r in rs), None
 
     try:
-        walk(root, 0)
-    finally:
-        del walk    # as in _fold
+        height = _fold(root, lambda v: (0, check_leaf(v)), inner)[0]
+    except RecursionError:      # the fold recurses once per tree level
+        raise ValueError(f"{kind} tree too deep to walk (max_depth={max_depth})") from None
+    if height > max_depth:
+        raise ValueError(f"{kind} tree deeper than {max_depth}")
 
 
 def _check_weight_leaf(v):
@@ -175,19 +166,20 @@ def _check_weight_leaf(v):
     return v
 
 
-def _check_set_leaf(v) -> None:
+def _check_set_leaf(v) -> bool:
     if not isinstance(v, bool):
         raise ValueError(f"set leaf {v!r} is not a bool")
+    return v
 
 
 def validate_weight(w: DyadicWeight, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
     """Check fan-out, leaf positivity and the depth cap; raise ValueError."""
-    _validate(w.tree, w.n, max_depth, "weight", _check_weight_leaf, False)
+    _validate(w.tree, w.n, max_depth, "weight", _check_weight_leaf)
 
 
 def validate_set(E: DyadicSet, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
     """Check fan-out, canonical form and the depth cap; raise ValueError."""
-    _validate(E.tree, E.n, max_depth, "set", _check_set_leaf, True)
+    _validate(E.tree, E.n, max_depth, "set", _check_set_leaf)
 
 
 def _height(node, memo=None) -> int:

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,10 +64,13 @@ def _gen(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _quota(rows: int, key: int = 0) -> Iterable[tuple[int, int, int]]:
-    """Chunk plan for `rows` rows on the streams (key << 32) | 0, 1, ..."""
-    for i, start in enumerate(range(0, rows, CHUNK)):
-        yield (key << 32) | i, min(CHUNK, rows - start), key
+def _quota(rows: int, keys: Sequence[int] = (0,)) -> Iterable[tuple[int, int, int]]:
+    """Chunk plan: ceil(rows / len(keys)) rows per key, in key order, each
+    key's rows in chunks of CHUNK on the streams (key << 32) | 0, 1, ..."""
+    per = -(-rows // len(keys))
+    for key in keys:
+        for i, start in enumerate(range(0, per, CHUNK)):
+            yield (key << 32) | i, min(CHUNK, per - start), key
 
 
 def _row(*cols: np.ndarray) -> Callable[[int], tuple]:
@@ -146,14 +149,10 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
         tally[3] += np.count_nonzero(xhat >= 0)
         return lhs - rhs, _row(*cols), lhs, rhs
 
-    def waves():
-        for wave in range(MAX_WAVES):
-            if tally[0] >= n_samples:
-                return
-            for stream in range(wave * WAVE, (wave + 1) * WAVE):
-                yield stream, CHUNK, 0
-
-    report = _sweep("main-inequality-M", seed, waves(), draw, tol)
+    # whole waves: the admitted count is read only before a wave's first chunk
+    plan = itertools.takewhile(lambda c: c[0] % WAVE or tally[0] < n_samples,
+                               _quota(draws))
+    report = _sweep("main-inequality-M", seed, plan, draw, tol)
     admitted, raw, n_order, n_hat = tally
     if admitted < n_samples:
         raise DomainError(f"main inequality sampler admitted {admitted} of "
@@ -175,7 +174,6 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     N, Q = p.N, p.Q
-    per = -(-n_samples // N)
 
     def draw(g, c, n_low):
         n_hi = N - n_low
@@ -198,10 +196,8 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
                                      "y": [float(v) for v in ys[i]],
                                      "m": [float(v) for v in ms[i]]}, lhs, rhs
 
-    plan = itertools.chain.from_iterable(_quota(per, n_low)
-                                         for n_low in range(1, N + 1))
-    return _sweep("main-inequality-B", seed, plan, draw, tol,
-                  f"strata n_low=1..{N}")
+    return _sweep("main-inequality-B", seed, _quota(n_samples, range(1, N + 1)),
+                  draw, tol, f"strata n_low=1..{N}")
 
 
 def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
@@ -216,7 +212,6 @@ def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
     if p.degenerate:
         raise DomainError("wedge sampler needs Q > 1")
     N, Q = p.N, p.Q
-    per = -(-n_samples // (WEDGE_K_MAX + 1))
 
     def draw(g, c, k):
         nodek = N ** (-k)
@@ -244,10 +239,8 @@ def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
             "yt": float(yt[i]), "xhat": float(xhat[i]),
             "yhat": float(yhat[i])}, lhs, rhs
 
-    plan = itertools.chain.from_iterable(_quota(per, k)
-                                         for k in range(WEDGE_K_MAX + 1))
-    return _sweep("wedge", seed, plan, draw, tol,
-                  f"k=0..{WEDGE_K_MAX}, xhat capped at N^-k")
+    return _sweep("wedge", seed, _quota(n_samples, range(WEDGE_K_MAX + 1)),
+                  draw, tol, f"k=0..{WEDGE_K_MAX}, xhat capped at N^-k")
 
 
 # ---------------------------------------------------------------------------

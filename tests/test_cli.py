@@ -317,6 +317,23 @@ def test_extremize_refuses_a_pair_past_the_entry_cap(capsys):
     assert time.perf_counter() - t < 5
 
 
+@pytest.mark.parametrize("argv", [
+    "table --Q 2 --d 1",
+    "plot-data --Q 2 --d 1",
+    "extremize --Q 2 --d 1 --x 0.3 --y 1.5 --depth 4",
+    "oracle --Q 2 --d 1",
+])
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+def test_unwritable_out_exits_two_with_an_error_line(capsys, tmp_path, argv,
+                                                     target):
+    # a missing directory (FileNotFoundError) or a directory
+    # (IsADirectoryError) ended in a traceback and exit 1
+    rc, _, err = run(capsys, *argv.split(), "--out", str(tmp_path / target))
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_verify_bad_tol(capsys, tol):
     # inf passed every suite, nan failed every one, -1 failed concavity

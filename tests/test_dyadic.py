@@ -203,21 +203,37 @@ def test_validation_errors():
 
 
 def test_validation_walks_shared_nodes_once(monkeypatch):
-    # a ladder (b, (b, (b, ... 1.0))) reaches the shared chain b at every
-    # depth 1..10; each distinct node's children are checked once
+    # a ladder (b, (b, (b, ... 2.0))) reaches the shared chain b at every
+    # depth 1..10; b's 64 leaf positions are one object, the ladder's foot
+    # another, and each distinct leaf object is checked once
     b = 1.0
     for _ in range(6):
         b = (b, b)
-    root = 1.0
+    root = 2.0
     for _ in range(10):
         root = (b, root)
     w = DyadicWeight(2, root)
     leaves = []
     monkeypatch.setattr(dyadic, "_check_weight_leaf", leaves.append)
     validate_weight(w, max_depth=16)
-    assert len(leaves) == 3
+    assert sorted(leaves) == [1.0, 2.0]
+    assert len(set(map(id, leaves))) == 2
     with pytest.raises(ValueError, match="deeper than 15"):
         validate_weight(w, max_depth=15)
+
+
+@pytest.mark.parametrize("max_depth", [2000, DEFAULT_MAX_DEPTH])
+def test_validation_names_a_depth_past_the_recursion_limit(max_depth):
+    # a 1500-deep chain: past the recursion limit, so the fold cannot
+    # reach its foot, whether max_depth admits the chain or not
+    t, E = 2.0, True
+    for _ in range(1500):
+        t, E = (t, 2.0), (E, False)
+    for check, tree, kind in ((validate_weight, DyadicWeight(2, t), "weight"),
+                              (validate_set, DyadicSet(2, E), "set")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} tree too deep to walk (max_depth={max_depth})")):
+            check(tree, max_depth=max_depth)
 
 
 def test_fold_visits_each_leaf_object_once():

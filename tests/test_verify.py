@@ -211,6 +211,58 @@ def test_main_inequality_M_admission_rate(d):
     assert abs(admitted - draws * rate) < 5 * sigma
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    """Every chunk each _sweep call draws, in the order it draws them."""
+    seen = []
+    sweep = verify._sweep
+
+    def spy(suite, seed, chunks, *rest):
+        plan = []
+        seen.append(plan)
+
+        def record():       # lazily, as main-M's stop reads its running tally
+            for chunk in chunks:
+                plan.append(chunk)
+                yield chunk
+
+        return sweep(suite, seed, record(), *rest)
+
+    monkeypatch.setattr(verify, "_sweep", spy)
+    return seen
+
+
+def test_sampler_chunk_plans(p21, p102, plans):
+    C = verify.CHUNK
+    # main-B: 2C + 1 rows over N = 2 strata, C + 1 rows each
+    check_main_inequality_B(p21, n_samples=2 * C + 1)
+    # wedge: 10 rows over the 7 wedges k = 0..6, 2 rows each
+    check_wedge_inequality(p102, n_samples=10)
+    # concavity and t-monotonicity above one chunk
+    check_concavity(p102, n_samples=C + 5)
+    check_t_monotonicity(p102, n_samples=C + 5)
+    # homogeneity keeps one chunk of all its rows
+    verify.check_homogeneity(p102, n_samples=C + 5)
+    assert plans == [
+        [(1 << 32, C, 1), ((1 << 32) | 1, 1, 1),
+         (2 << 32, C, 2), ((2 << 32) | 1, 1, 2)],
+        [(k << 32, 2, k) for k in range(7)],
+        [(0, C, 0), (1, 5, 0)],
+        [(0, C, 0), (1, 5, 0)],
+        [(0, C + 5, 0)],
+    ]
+
+
+def test_main_inequality_M_draws_whole_waves(p102, plans):
+    one_wave = check_main_inequality_M(p102, n_samples=1).samples
+    # one row more than the first wave admits: the second wave is drawn
+    # whole, and the sampler stops at the boundary after it
+    r = check_main_inequality_M(p102, n_samples=one_wave + 1)
+    two_waves = [(i, verify.CHUNK, 0) for i in range(2 * verify.WAVE)]
+    assert plans == [two_waves[:verify.WAVE], two_waves]
+    assert r.samples > one_wave + 1
+
+
 def test_property_suites_pass(p102, p53):
     for p in (p102, p53):
         assert check_concavity(p, n_samples=4000).passed
