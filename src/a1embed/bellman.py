@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .params import (
     BOUNDARY_TOL,
     DegenerateParamsError,
@@ -174,11 +172,13 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals used by the sampling suites and `table`; no domain
-# checks here, callers are trusted to supply in-domain arrays.  power rounds
-# the eta^k table; math.pow's gives eval_f's and eval_M's bits (README notes)
+# vectorized internals used by the sampling suites and `table`, each importing
+# numpy itself; no domain checks here, callers are trusted to supply in-domain
+# arrays.  power rounds the eta^k table (np.power's when None); math.pow's
+# gives eval_f's and eval_M's bits (README notes)
 
-def _f_vec(p: Params, x: np.ndarray, power=np.power) -> np.ndarray:
+def _f_vec(p: Params, x: np.ndarray, power=None) -> np.ndarray:
+    import numpy as np
     x = np.asarray(x, dtype=float)
     e = np.frexp(x)[1]
     k = np.maximum(0, -e) // p.d       # frexp's int32 throughout
@@ -190,21 +190,23 @@ def _f_vec(p: Params, x: np.ndarray, power=np.power) -> np.ndarray:
     # f = eta^k (Q - 1 + s) in place, eta^k from a table of power(eta,
     # 0..max k): the same elementwise calls, so the bits of power(eta, k)
     s += p.Q - 1
-    s *= power(p.eta, np.arange(k.max(initial=0) + 1))[k]
+    s *= (power or np.power)(p.eta, np.arange(k.max(initial=0) + 1))[k]
     s[~(x > 0)] = 0.0
     s[x >= 1] = p.Q
     return s
 
 
 def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray,
-               power=np.power) -> np.ndarray:
+               power=None) -> np.ndarray:
     """The upper branch ((y-1)/(Q-1)) f(min(x (Q-1)/(y-1), 1))."""
+    import numpy as np
     u = np.minimum(x * (p.Q - 1) / (y - 1), 1.0)
     return (y - 1) / (p.Q - 1) * _f_vec(p, u, power)
 
 
 def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
-           power=np.power) -> np.ndarray:
+           power=None) -> np.ndarray:
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = x + y - 1             # the lower branch, overwritten where it fails
@@ -215,12 +217,14 @@ def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
 
 
 def _B_vec(p: Params, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    import numpy as np
     m = np.asarray(m, dtype=float)
     yy = np.clip(np.asarray(y, dtype=float) / m, 1.0, p.Q)
     return m * _M_vec(p, np.asarray(x, dtype=float), yy)
 
 
 def _wedge_vec(p: Params, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if k == 0:

@@ -8,7 +8,8 @@ verify (run check suites), oracle (exhaustive small-tree supremum).
 Every output starts with a header line echoing the resolved options, so
 identical invocations produce byte-identical files; exit codes are 0 on
 success, 1 when a verification suite fails, 2 on usage/domain errors
-and an --out that cannot be written.
+and an --out that cannot be written.  numpy is imported by the functions
+that compute on arrays: eval, extremize and oracle start without it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bellman import _f_vec, _M_vec, classify_point, eval_B, eval_M
@@ -134,6 +133,7 @@ def cmd_eval(p: Params, args) -> int:
 
 
 def cmd_table(p: Params, args) -> int:
+    import numpy as np
     if args.nx < 1 or args.ny < 1:
         raise DomainError(f"table needs nx, ny >= 1, got {args.nx}, {args.ny}")
     xs = np.linspace(0.0, 1.0, args.nx)
@@ -157,6 +157,7 @@ def cmd_table(p: Params, args) -> int:
 
 
 def _profile_grid(p: Params, n_points: int) -> np.ndarray:
+    import numpy as np
     xs = set(np.geomspace(1e-6, 1.0, n_points).tolist())
     node = 1.0
     while node >= 1e-6:
@@ -166,6 +167,7 @@ def _profile_grid(p: Params, n_points: int) -> np.ndarray:
 
 
 def cmd_plot_data(p: Params, args) -> int:
+    import numpy as np
     if p.degenerate:
         raise DomainError("plot-data needs Q > 1")
     if args.n_points < 1:

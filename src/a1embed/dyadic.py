@@ -53,10 +53,20 @@ SetNode = Union[bool, tuple]
 DEFAULT_MAX_DEPTH = DIGITS_MAX + CONCAT_DIGITS_MAX + CORNER_K_MAX + 2
 
 
+class _TooDeep(ValueError):
+    """A tree nested past the interpreter's recursion limit."""
+
+    def __init__(self):
+        super().__init__("tree too deep to walk")
+
+
 def _tree_repr(t) -> str:
     """`DyadicWeight(n=4, depth=69, unique=75)`, from one fold."""
     memo: dict = {}
-    depth = _height(t.tree, memo)
+    try:
+        depth = _height(t.tree, memo)
+    except _TooDeep:
+        return f"{type(t).__name__}(n={t.n}, too deep to walk)"
     return f"{type(t).__name__}(n={t.n}, depth={depth}, unique={len(memo)})"
 
 
@@ -98,7 +108,8 @@ def _fold(root, leaf, inner, memo=None):
 
     Every node is folded once per identity, memoized on id(node) in `memo`
     when given (callers share it between folds of one tree).  A node of over
-    4 children that repeats one walks each distinct child once.
+    4 children that repeats one walks each distinct child once.  A tree
+    deeper than the recursion limit raises _TooDeep, a ValueError.
     """
     if memo is None:
         memo = {}
@@ -119,6 +130,8 @@ def _fold(root, leaf, inner, memo=None):
 
     try:
         return walk(root)
+    except RecursionError:      # the fold recurses once per tree level
+        raise _TooDeep from None
     finally:
         del walk    # walk calls itself through this cell: free the memo now
 
@@ -154,7 +167,7 @@ def _validate(root, n: int, max_depth: int, kind: str, check_leaf) -> None:
 
     try:
         height = _fold(root, lambda v: (0, check_leaf(v)), inner)[0]
-    except RecursionError:      # the fold recurses once per tree level
+    except _TooDeep:
         raise ValueError(f"{kind} tree too deep to walk (max_depth={max_depth})") from None
     if height > max_depth:
         raise ValueError(f"{kind} tree deeper than {max_depth}")
@@ -257,6 +270,8 @@ def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict):
 
     try:
         return walk(w.tree, E.tree)
+    except RecursionError:
+        raise _TooDeep from None
     finally:
         del walk    # as in _fold
 
@@ -290,6 +305,8 @@ def maximal_function(w: DyadicWeight) -> DyadicWeight:
 
     try:
         return DyadicWeight(w.n, walk(w.tree, _summary(w.tree, w.n, summary_memo)[0]))
+    except RecursionError:
+        raise _TooDeep from None
     finally:
         del walk    # as in _fold
 
@@ -369,6 +386,8 @@ def _tree_to_json(root, leaf_doc):
 
     try:
         return walk(root)
+    except RecursionError:
+        raise _TooDeep from None
     finally:
         del walk    # as in _fold
 
@@ -443,6 +462,6 @@ def pair_from_json(doc: dict, max_depth: int = DEFAULT_MAX_DEPTH):
             doc["set"], p.N, "set", "set", _set_leaf, make_set_node, max_depth))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed pair document: {exc!r}") from None
-    except RecursionError:      # the walks recurse once per tree level
+    except (RecursionError, _TooDeep):  # the walks recurse once per level
         raise ValueError(f"pair tree too deep to walk (max_depth={max_depth})") from None
     return p.Q, p.d, w, E

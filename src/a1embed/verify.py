@@ -14,7 +14,8 @@ Three kinds of evidence, none of which trusts the formulas being tested:
     tabulates the best mass per (set measure, average), exactly.
 
 Randomness is counter-based (Philox keyed by (seed, stream)) over a
-fixed chunk plan, so a report depends only on its arguments.
+fixed chunk plan, so a report depends only on its arguments.  Only the
+array code imports numpy, inside its functions: the oracle never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .bellman import _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, eval_B
 from .dyadic import (
@@ -61,6 +60,7 @@ class CheckReport:
 
 
 def _gen(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -86,6 +86,7 @@ def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
     two sides the slacks are judged against (`at_least`).  The worst slack
     is the first minimum in plan order.
     """
+    import numpy as np
     worst, witness, rows, ok = math.inf, None, 0, True
     for stream, size, key in chunks:
         slacks, row, lhs, rhs = draw(_gen(seed, stream), size, key)
@@ -115,6 +116,7 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     exceeds E + 10 sqrt(E), E the expected admissions of MAX_WAVES waves,
     and after, if the waves admit fewer than n_samples rows.
     """
+    import numpy as np
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     if n_samples < 1:
@@ -171,6 +173,7 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
     kept <= Q so the parent point stays in the domain.  Slack is
     B(mean x, mean y, 1) - mean_i B(x_i, y_i, m_i).
     """
+    import numpy as np
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     N, Q = p.N, p.Q
@@ -209,6 +212,7 @@ def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
     fraction below the next node); a few samples per chunk are pinned
     to the sharp edges xhat = N^-k and yhat = Q.
     """
+    import numpy as np
     if p.degenerate:
         raise DomainError("wedge sampler needs Q > 1")
     N, Q = p.N, p.Q
@@ -285,6 +289,7 @@ def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
 def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
                        tol: float = 1e-9) -> CheckReport:
     """f <= f_smooth everywhere; exact agreement at the nodes N^-k."""
+    import numpy as np
     if p.degenerate:
         raise DomainError("smooth bound needs Q > 1")
     half = n_samples // 2
@@ -311,6 +316,7 @@ def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
 def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
                             tol: float = 1e-9) -> CheckReport:
     """Both closed-form branches agree on the line y = 1 + (Q-1)x."""
+    import numpy as np
     if p.degenerate:
         raise DomainError("branch continuity needs Q > 1")
     x = np.linspace(1e-9, 1.0, n_samples)
@@ -329,6 +335,7 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
 def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
                       tol: float = 1e-12) -> CheckReport:
     """B(x, ty, tm) = t B(x, y, m), relative error, default tol 1e-12."""
+    import numpy as np
     def draw(g, c, _):
         x = g.uniform(0.0, 1.0, c)
         m = g.uniform(0.5, 2.0, c)
@@ -345,6 +352,7 @@ def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
 def check_wedge_domination(p: Params, n_samples: int = 10_000, seed: int = 0,
                            tol: float = 1e-9) -> CheckReport:
     """Every wedge M_k, k = 1..DOMINATION_K_MAX, lies above M on the domain."""
+    import numpy as np
     if p.degenerate:
         raise DomainError("wedge domination needs Q > 1")
     side = max(2, int(math.isqrt(n_samples)))

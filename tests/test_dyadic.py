@@ -37,6 +37,7 @@ from a1embed.dyadic import (
     DEFAULT_MAX_DEPTH,
     as_fraction_weight,
     make_set_node,
+    scale_weight,
     tree_depth,
     validate_set,
     validate_weight,
@@ -234,6 +235,41 @@ def test_validation_names_a_depth_past_the_recursion_limit(max_depth):
         with pytest.raises(ValueError, match=re.escape(
                 f"{kind} tree too deep to walk (max_depth={max_depth})")):
             check(tree, max_depth=max_depth)
+
+
+def _chain(depth):
+    t, E = 2.0, True
+    for _ in range(depth):
+        t, E = (t, 2.0), (E, False)
+    return DyadicWeight(2, t), DyadicSet(2, E)
+
+
+DEEP_WALKS = {
+    "average": lambda w, E: average(w),
+    "ess_inf": lambda w, E: ess_inf(w),
+    "a1_characteristic": lambda w, E: a1_characteristic(w),
+    "tree_depth": lambda w, E: tree_depth(w),
+    "measure": lambda w, E: measure(E),
+    "value_distribution": lambda w, E: value_distribution(w),
+    "scale_weight": lambda w, E: scale_weight(w, 2),
+    "as_fraction_weight": lambda w, E: as_fraction_weight(w),
+    "complement": lambda w, E: complement(E),
+    "stats": lambda w, E: stats(w, E),
+    "weight_on_set": lambda w, E: weight_on_set(w, E),
+    "maximal_function": lambda w, E: maximal_function(w),
+    "pair_to_json": lambda w, E: pair_to_json(2.0, 1, w, E),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_WALKS)
+def test_walks_name_a_tree_past_the_recursion_limit(name):
+    # a 1500-deep chain: each bottom-up fold and top-down walk raised a bare
+    # RecursionError; the repr, one fold, must still give a string
+    w, E = _chain(1500)
+    with pytest.raises(ValueError, match="^tree too deep to walk$"):
+        DEEP_WALKS[name](w, E)
+    assert (repr(w), repr(E)) == ("DyadicWeight(n=2, too deep to walk)",
+                                  "DyadicSet(n=2, too deep to walk)")
 
 
 def test_fold_visits_each_leaf_object_once():
