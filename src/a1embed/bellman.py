@@ -172,13 +172,24 @@ def wedge_Mk(p: Params, k: int, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized internals used by the sampling suites and `table`, each importing
-# numpy itself; no domain checks here, callers are trusted to supply in-domain
-# arrays.  power rounds the eta^k table (np.power's when None); math.pow's
+# vectorized internals used by the sampling suites and `table`; no domain
+# checks here, callers are trusted to supply in-domain arrays.  power rounds
+# the eta^k table (np.power's when None, so numpy waits for a call); math.pow's
 # gives eval_f's and eval_M's bits (README notes)
 
+class _Numpy:
+    """numpy, imported the first time one of its names is read."""
+
+    def __getattr__(self, name):
+        import numpy
+        setattr(self, name, getattr(numpy, name))
+        return getattr(self, name)
+
+
+np = _Numpy()   # the array code's numpy, here and in verify and cli
+
+
 def _f_vec(p: Params, x: np.ndarray, power=None) -> np.ndarray:
-    import numpy as np
     x = np.asarray(x, dtype=float)
     e = np.frexp(x)[1]
     k = np.maximum(0, -e) // p.d       # frexp's int32 throughout
@@ -199,32 +210,27 @@ def _f_vec(p: Params, x: np.ndarray, power=None) -> np.ndarray:
 def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray,
                power=None) -> np.ndarray:
     """The upper branch ((y-1)/(Q-1)) f(min(x (Q-1)/(y-1), 1))."""
-    import numpy as np
     u = np.minimum(x * (p.Q - 1) / (y - 1), 1.0)
     return (y - 1) / (p.Q - 1) * _f_vec(p, u, power)
 
 
 def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
            power=None) -> np.ndarray:
-    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = x + y - 1             # the lower branch, overwritten where it fails
     up = np.nonzero(~_on_lower_branch(p, x, y))
-    if up[0].size:
-        out[up] = _upper_vec(p, x[up], y[up], power)
+    out[up] = _upper_vec(p, x[up], y[up], power)
     return out
 
 
 def _B_vec(p: Params, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
-    import numpy as np
     m = np.asarray(m, dtype=float)
     yy = np.clip(np.asarray(y, dtype=float) / m, 1.0, p.Q)
     return m * _M_vec(p, np.asarray(x, dtype=float), yy)
 
 
 def _wedge_vec(p: Params, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if k == 0:

@@ -8,8 +8,8 @@ verify (run check suites), oracle (exhaustive small-tree supremum).
 Every output starts with a header line echoing the resolved options, so
 identical invocations produce byte-identical files; exit codes are 0 on
 success, 1 when a verification suite fails, 2 on usage/domain errors
-and an --out that cannot be written.  numpy is imported by the functions
-that compute on arrays: eval, extremize and oracle start without it.
+and an --out that cannot be written.  numpy is bellman's lazy `np`, read
+only by array commands: eval, extremize and oracle never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import __version__
-from .bellman import _f_vec, _M_vec, classify_point, eval_B, eval_M
+from .bellman import _f_vec, _M_vec, classify_point, eval_B, eval_M, np
 from .dyadic import pair_to_json
 from .extremize import build_extremizer
 from .params import DomainError, Params, clamp_omega, new_params
@@ -133,12 +133,10 @@ def cmd_eval(p: Params, args) -> int:
 
 
 def cmd_table(p: Params, args) -> int:
-    import numpy as np
     if args.nx < 1 or args.ny < 1:
         raise DomainError(f"table needs nx, ny >= 1, got {args.nx}, {args.ny}")
-    xs = np.linspace(0.0, 1.0, args.nx)
-    ys = np.linspace(1.0, p.Q, args.ny)
-    yc = np.clip(ys, 1.0, p.Q)                          # eval_M's clamp
+    xs = np.linspace(0.0, 1.0, args.nx)     # x in [0, 1] and y in [1, Q]:
+    ys = np.linspace(1.0, p.Q, args.ny)     # eval_M's clamp changes nothing
     power = np.vectorize(math.pow, otypes=[float])      # eval_f's eta^k
     y_texts = list(map(_fmt, ys.tolist()))
     lines = [_header("table", Q=args.Q, d=args.d, nx=args.nx, ny=args.ny),
@@ -146,9 +144,9 @@ def cmd_table(p: Params, args) -> int:
     # eval_M's values bit for bit, one vector-kernel call per x row: whole-grid
     # arrays and 10 KB row strings left holes in the heap that raised the
     # peak RSS of closed-form-cli by up to 5%, so no allocation outgrows a row
-    for x, xc in zip(xs.tolist(), np.clip(xs, 0.0, 1.0).tolist()):
-        row = np.full(args.ny, xc)
-        row = row if p.degenerate else _M_vec(p, row, yc, power)
+    for x in xs.tolist():
+        row = np.full(args.ny, x)
+        row = row if p.degenerate else _M_vec(p, row, ys, power)
         x = _fmt(x)
         lines += [f"{x},{y},{v:.17g}" for y, v in zip(y_texts, row.tolist())]
     lines.append("")    # the last newline, without a second copy of the text
@@ -157,7 +155,6 @@ def cmd_table(p: Params, args) -> int:
 
 
 def _profile_grid(p: Params, n_points: int) -> np.ndarray:
-    import numpy as np
     xs = set(np.geomspace(1e-6, 1.0, n_points).tolist())
     node = 1.0
     while node >= 1e-6:
@@ -167,7 +164,6 @@ def _profile_grid(p: Params, n_points: int) -> np.ndarray:
 
 
 def cmd_plot_data(p: Params, args) -> int:
-    import numpy as np
     if p.degenerate:
         raise DomainError("plot-data needs Q > 1")
     if args.n_points < 1:

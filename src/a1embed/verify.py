@@ -14,8 +14,8 @@ Three kinds of evidence, none of which trusts the formulas being tested:
     tabulates the best mass per (set measure, average), exactly.
 
 Randomness is counter-based (Philox keyed by (seed, stream)) over a
-fixed chunk plan, so a report depends only on its arguments.  Only the
-array code imports numpy, inside its functions: the oracle never loads it.
+fixed chunk plan, so a report depends only on its arguments.  numpy is
+bellman's lazy `np`, loaded by the array code: the oracle never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .bellman import _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, eval_B
+from .bellman import _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, eval_B, np
 from .dyadic import (
     DyadicSet,
     DyadicWeight,
@@ -60,7 +60,6 @@ class CheckReport:
 
 
 def _gen(seed: int, stream: int) -> np.random.Generator:
-    import numpy as np
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -86,7 +85,6 @@ def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
     two sides the slacks are judged against (`at_least`).  The worst slack
     is the first minimum in plan order.
     """
-    import numpy as np
     worst, witness, rows, ok = math.inf, None, 0, True
     for stream, size, key in chunks:
         slacks, row, lhs, rhs = draw(_gen(seed, stream), size, key)
@@ -116,7 +114,6 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     exceeds E + 10 sqrt(E), E the expected admissions of MAX_WAVES waves,
     and after, if the waves admit fewer than n_samples rows.
     """
-    import numpy as np
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     if n_samples < 1:
@@ -173,7 +170,6 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
     kept <= Q so the parent point stays in the domain.  Slack is
     B(mean x, mean y, 1) - mean_i B(x_i, y_i, m_i).
     """
-    import numpy as np
     if p.degenerate:
         raise DomainError("main inequality sampler needs Q > 1")
     N, Q = p.N, p.Q
@@ -182,14 +178,11 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
         n_hi = N - n_low
         xs = g.uniform(0.0, 1.0, (c, N))
         y_lo = g.uniform(1.0, Q, (c, n_low))
-        if n_hi:
-            slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
-            y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
-            ys = np.concatenate([y_lo, y_hi], axis=1)
-            ms = np.concatenate([np.ones((c, n_low)), y_hi / Q], axis=1)
-        else:
-            ys = y_lo
-            ms = np.ones((c, N))
+        # at n_hi = 0, y_hi is (c, 0): its draw takes nothing from the stream
+        slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
+        y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
+        ys = np.concatenate([y_lo, y_hi], axis=1)
+        ms = np.concatenate([np.ones((c, n_low)), y_hi / Q], axis=1)
         xbar = xs.mean(axis=1)
         ybar = ys.mean(axis=1)
         child = _B_vec(p, xs.ravel(), ys.ravel(), ms.ravel()).reshape(c, N)
@@ -212,7 +205,6 @@ def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
     fraction below the next node); a few samples per chunk are pinned
     to the sharp edges xhat = N^-k and yhat = Q.
     """
-    import numpy as np
     if p.degenerate:
         raise DomainError("wedge sampler needs Q > 1")
     N, Q = p.N, p.Q
@@ -289,7 +281,6 @@ def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
 def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
                        tol: float = 1e-9) -> CheckReport:
     """f <= f_smooth everywhere; exact agreement at the nodes N^-k."""
-    import numpy as np
     if p.degenerate:
         raise DomainError("smooth bound needs Q > 1")
     half = n_samples // 2
@@ -316,7 +307,6 @@ def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
 def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
                             tol: float = 1e-9) -> CheckReport:
     """Both closed-form branches agree on the line y = 1 + (Q-1)x."""
-    import numpy as np
     if p.degenerate:
         raise DomainError("branch continuity needs Q > 1")
     x = np.linspace(1e-9, 1.0, n_samples)
@@ -335,7 +325,6 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
 def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
                       tol: float = 1e-12) -> CheckReport:
     """B(x, ty, tm) = t B(x, y, m), relative error, default tol 1e-12."""
-    import numpy as np
     def draw(g, c, _):
         x = g.uniform(0.0, 1.0, c)
         m = g.uniform(0.5, 2.0, c)
@@ -352,7 +341,6 @@ def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
 def check_wedge_domination(p: Params, n_samples: int = 10_000, seed: int = 0,
                            tol: float = 1e-9) -> CheckReport:
     """Every wedge M_k, k = 1..DOMINATION_K_MAX, lies above M on the domain."""
-    import numpy as np
     if p.degenerate:
         raise DomainError("wedge domination needs Q > 1")
     side = max(2, int(math.isqrt(n_samples)))

@@ -203,6 +203,39 @@ def test_validation_errors():
         a1_characteristic(DyadicWeight(2, (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("uniform", [True, False])
+def test_validate_set_refuses_a_set_node_with_uniform_children(uniform):
+    # make_set_node collapses such a node to its leaf, so no tree built here
+    # holds one; a tree from outside must not either
+    with pytest.raises(ValueError, match=r"uniform children \(not canonical\)"):
+        validate_set(DyadicSet(2, (not uniform, (uniform, uniform))))
+    validate_set(DyadicSet(2, (not uniform, (uniform, not uniform))))
+
+
+@pytest.mark.parametrize("leaf", [1, 0, 1.0, None, "True"])
+def test_validate_set_refuses_a_leaf_that_is_not_a_bool(leaf):
+    with pytest.raises(ValueError, match=f"set leaf {re.escape(repr(leaf))} "
+                                         "is not a bool"):
+        validate_set(DyadicSet(2, (True, (False, leaf))))
+
+
+def test_weight_on_set_refuses_a_set_of_another_fan_out():
+    # without the check the walk zips 2 children against 4 and returns a number
+    E = DyadicSet(4, (True, False, False, False))
+    for w in (DyadicWeight(2, 1.0), DyadicWeight(2, (1.0, 2.0))):
+        with pytest.raises(ValueError, match="different fan-out"):
+            weight_on_set(w, E)
+        with pytest.raises(ValueError, match="different fan-out"):
+            stats(w, E)
+
+
+@pytest.mark.parametrize("c", [0, 0.0, -2.0, Fraction(-1, 2), math.nan])
+def test_scale_weight_refuses_a_factor_that_is_not_positive(c):
+    w = DyadicWeight(2, (1.0, (2.0, 3.0)))
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        scale_weight(w, c)
+
+
 def test_validation_walks_shared_nodes_once(monkeypatch):
     # a ladder (b, (b, (b, ... 2.0))) reaches the shared chain b at every
     # depth 1..10; b's 64 leaf positions are one object, the ladder's foot

@@ -9,15 +9,25 @@ oracle's JSON and CSV tables (Q = 1 included) and every verify suite, so a
 refactor of the kernel, tree, JSON, sampling or oracle code that moves a
 single byte fails here.  A change that alters an output on
 purpose updates the hash and says why.
+
+plot-data and the samplers print np.power's eta^k, whose bits depend on the
+loop numpy dispatches (conftest's `numpy_power_rounding`), so four cases hold
+one hash per class.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import a1embed
 from a1embed.cli import main
 
 EXTREMIZE_POINTS = [
@@ -94,12 +104,15 @@ GOLDEN = {
         "282a6e7bc8ec1848824e7199f88da5724ca564089c15d08777c9c5d4f68120b1",
     "table --Q 5 --d 3 --nx 21 --ny 21":
         "f96a6df794e1e0724c79b6677e10f87c252073ad3355ff07c46c7f24fba66cf9",
-    "plot-data --Q 10 --d 2":
-        "6ff90d8922a8908b6483baf7ca77efaae0c3ca2e6d7b0b0e01026dbb728f4332",
-    "plot-data --Q 5 --d 3":
-        "0c4aaf38d1b28e06c9fdf51458ed4b2f02e6a2b545f724888b001d4b700ca3e6",
-    "plot-data --Q 1.0001 --d 1":
-        "a2d93f636d3721cafd19b2c4cba7fc420bfd691e48b6d1d20d153820aa095209",
+    "plot-data --Q 10 --d 2": {
+        "avx512": "6ff90d8922a8908b6483baf7ca77efaae0c3ca2e6d7b0b0e01026dbb728f4332",
+        "libm": "c30a5c8858c6ef727e123a16f3b83db25a12edfe11238749f40308719a6e6197"},
+    "plot-data --Q 5 --d 3": {
+        "avx512": "0c4aaf38d1b28e06c9fdf51458ed4b2f02e6a2b545f724888b001d4b700ca3e6",
+        "libm": "a3cb499009402a0d261e5e723394386d9c0143c93e76365533c19a7a9f7046e8"},
+    "plot-data --Q 1.0001 --d 1": {
+        "avx512": "a2d93f636d3721cafd19b2c4cba7fc420bfd691e48b6d1d20d153820aa095209",
+        "libm": "ec169ccc7e7e70b6546f1d6b61e66644b99396d41e20058393559cc71dc84bba"},
     "table --Q 1 --d 1 --nx 5 --ny 3":
         "c5edbe89c7cbacd78c5f5ff556129e62ed85d5babcc428cabc9a9010dff8aa0e",
     "table --Q 10 --d 2 --nx 1 --ny 2":
@@ -168,8 +181,9 @@ GOLDEN = {
         "e071dd249c0e5927c73497c898f86901e3717a52762e93d4e7c826a1efd61e1c",
     "verify --Q 10 --d 6 --suite weak-type":
         "b3c3960dbe12c75fb1e3f5f44691b45a34504f58f0a2efc372de3f19ec8ba1d6",
-    "verify --Q 10 --d 2 --suite all --format json --seed 7 --samples 70000":
-        "4076826d080d1a1241d4b1b3d53f28f85cf64cf49a93be6ca748c8fe2365e28c",
+    "verify --Q 10 --d 2 --suite all --format json --seed 7 --samples 70000": {
+        "avx512": "4076826d080d1a1241d4b1b3d53f28f85cf64cf49a93be6ca748c8fe2365e28c",
+        "libm": "9441be4d01a66ddf4ede8949889fecc228fff923cf8107e6f2ffcf086cbffb0b"},
     # branch-continuity's witness moved when y stopped rounding below the line
     "verify --Q 5 --d 3 --suite all --format json --seed 7 --samples 70000":
         "0e488cf6d5548c575ab50608302cb24ceca995ca0d932d57d4964fa14c62bf58",
@@ -185,8 +199,46 @@ def digest(argv) -> str:
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_is_byte_identical(argv):
-    assert digest(argv) == GOLDEN[" ".join(argv)]
+def test_cli_output_is_byte_identical(argv, power_rounding):
+    want = GOLDEN[" ".join(argv)]
+    assert digest(argv) == (want[power_rounding] if isinstance(want, dict)
+                            else want)
+
+
+POWER_TESTS = ["test_default_power_is_numpys",
+               "test_kernels_with_math_pow_table_give_scalar_bits",
+               "test_eta_power_table_matches_elementwise_power"]
+
+
+def test_libm_class_passes_where_avx512_is_switched_off(power_rounding):
+    # a child run with numpy's AVX512 targets disabled checks the other
+    # class's hashes on an AVX512 host; naming a target the build does not
+    # dispatch makes numpy warn at import, so the list is the targets found
+    if power_rounding != "avx512":
+        pytest.skip("numpy dispatches no AVX512 power loop here")
+    found = np.__config__.CONFIG["SIMD Extensions"]["found"]
+    tests = Path(__file__).parent
+    path = [str(Path(a1embed.__file__).parent.parent), str(tests),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               NPY_DISABLE_CPU_FEATURES=" ".join(t for t in found
+                                                 if t != "X86_V3"))
+
+    def child(*argv):
+        return subprocess.run([sys.executable, *argv], cwd=tests.parent,
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+
+    # -W error: numpy's warning for a target it cannot disable is an
+    # ImportWarning, which Python hides by default
+    probe = child("-W", "error", "-c",
+                  "import conftest; print(conftest.numpy_power_rounding())")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "libm\n", "")
+    # the child skips this test, so it starts no child of its own
+    run = child("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "tests/test_golden.py",
+                *(f"tests/test_bellman.py::{t}" for t in POWER_TESTS))
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
 # Recorded while the pass rule was an absolute 1e-9, under which main-B,

@@ -18,6 +18,37 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
+def _numpy_imports(node, scope):
+    # the qualified name of the scope of every import of numpy under node,
+    # `import numpy`, `from numpy import ...` and the string "numpy" alike
+    for child in ast.iter_child_nodes(node):
+        names = []
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        elif isinstance(child, ast.Constant):
+            names = [child.value]
+        if any(isinstance(n, str) and n.split(".")[0] == "numpy" for n in names):
+            yield ".".join(scope)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield from _numpy_imports(child, scope + (child.name,))
+        else:
+            yield from _numpy_imports(child, scope)
+
+
+def test_numpy_is_imported_only_by_the_lazy_binding():
+    # bellman's `np` imports numpy on its first attribute read, and the array
+    # code of every module reads it from there: an import anywhere else, at
+    # the top of a module or inside a function, decides the load on its own
+    found = []
+    for path in sorted(Path(a1embed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{scope}" for scope in _numpy_imports(tree, ())]
+    assert found == ["bellman.py:_Numpy.__getattr__"]
+
+
 # Runs in its own interpreter, so no other test's import of numpy shows.
 # `-I` ignores PYTHONPATH and the user's site, so the script puts the
 # package's parent directory (argv[1]) on sys.path itself.
