@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .bellman import _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, eval_B, np
+from .bellman import _BLOCK, _B_vec, _M_vec, _f_vec, _upper_vec, _wedge_vec, \
+    eval_B, np
 from .dyadic import (
     DyadicSet,
     DyadicWeight,
@@ -94,7 +95,11 @@ def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
         i = int(np.argmin(slacks))
         if slacks[i] < worst:
             worst, witness = float(slacks[i]), row(i)
-        ok = ok and bool(at_least(lhs, rhs, tol, slacks).all())
+        lhs, rhs = (np.broadcast_to(a, slacks.shape) for a in (lhs, rhs))
+        for lo in range(0, slacks.size, _BLOCK):       # temporaries per block
+            cut = slice(lo, lo + _BLOCK)
+            ok = ok and bool(at_least(lhs[cut], rhs[cut], tol, slacks[cut]).all())
+        del slacks, row, lhs, rhs       # freed before the next chunk's draw
     return CheckReport(suite, rows, worst, witness, ok, notes)
 
 
@@ -181,16 +186,15 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
         # at n_hi = 0, y_hi is (c, 0): its draw takes nothing from the stream
         slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
         y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
-        ys = np.concatenate([y_lo, y_hi], axis=1)
-        ms = np.concatenate([np.ones((c, n_low)), y_hi / Q], axis=1)
-        xbar = xs.mean(axis=1)
-        ybar = ys.mean(axis=1)
-        child = _B_vec(p, xs.ravel(), ys.ravel(), ms.ravel()).reshape(c, N)
-        lhs, rhs = _B_vec(p, xbar, ybar, np.ones(c)), child.mean(axis=1)
-        return lhs - rhs, lambda i: {"stratum": n_low,
-                                     "x": [float(v) for v in xs[i]],
-                                     "y": [float(v) for v in ys[i]],
-                                     "m": [float(v) for v in ms[i]]}, lhs, rhs
+        ybar = np.concatenate([y_lo, y_hi], axis=1).mean(axis=1)
+        child = np.empty((c, N))        # the two column groups, m = 1 then y/Q
+        child[:, :n_low] = _B_vec(p, xs[:, :n_low], y_lo, 1.0)
+        child[:, n_low:] = _B_vec(p, xs[:, n_low:], y_hi, y_hi / Q)
+        lhs, rhs = _B_vec(p, xs.mean(axis=1), ybar, 1.0), child.mean(axis=1)
+        return lhs - rhs, lambda i: {
+            "stratum": n_low, "x": [float(v) for v in xs[i]],
+            "y": [float(v) for v in (*y_lo[i], *y_hi[i])],
+            "m": [1.0] * n_low + [float(v) for v in y_hi[i] / Q]}, lhs, rhs
 
     return _sweep("main-inequality-B", seed, _quota(n_samples, range(1, N + 1)),
                   draw, tol, f"strata n_low=1..{N}")

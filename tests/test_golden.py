@@ -236,7 +236,7 @@ def test_libm_class_passes_where_avx512_is_switched_off(power_rounding):
     assert (probe.returncode, probe.stdout, probe.stderr) == (0, "libm\n", "")
     # the child skips this test, so it starts no child of its own
     run = child("-m", "pytest", "-q", "-p", "no:cacheprovider",
-                "tests/test_golden.py",
+                "tests/test_golden.py", "tests/test_blocking.py",
                 *(f"tests/test_bellman.py::{t}" for t in POWER_TESTS))
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
