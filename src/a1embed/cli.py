@@ -7,9 +7,9 @@ verify (run check suites), oracle (exhaustive small-tree supremum).
 
 Every output starts with a header line echoing the resolved options, so
 identical invocations produce byte-identical files; exit codes are 0 on
-success, 1 when a verification suite fails, 2 on usage/domain errors
-and an --out that cannot be written.  numpy is bellman's lazy `np`, read
-only by array commands: eval, extremize and oracle never load it.
+success, 1 when a verification suite fails, 2 on usage/domain errors,
+an unwritable --out or no memory left.  numpy is bellman's lazy `np`,
+read only by array commands: eval, extremize and oracle never load it.
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(new_params(args.Q, args.d), args)
-    except (ValueError, OSError) as exc:  # DomainError, library errors, --out
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # DomainError, --out, memory
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

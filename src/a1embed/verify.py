@@ -77,30 +77,55 @@ def _row(*cols: np.ndarray) -> Callable[[int], tuple]:
     return lambda i: tuple(float(c[i]) for c in cols)
 
 
-def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
-           draw: Callable, tol: float, notes: str = "") -> CheckReport:
-    """Fold a chunk plan into one report.
+class _Rows:
+    """Rows lo:hi of a chunk of `size` rows on stream (seed, stream).  Each
+    uniform(a, b, w) reads them from the chunk's next uniform(a, b, (size,
+    w)) draw, 1-D if w is None: in turn from one generator for a whole
+    chunk, else from a generator placed past the doubles before them."""
 
-    For each (stream, size, key) of the plan, draw(generator, size, key)
-    returns the chunk's slacks, a function giving row i's witness, and the
-    two sides the slacks are judged against (`at_least`).  The worst slack
-    is the first minimum in plan order.
+    def __init__(self, seed: int, stream: int, size: int, lo: int, rows: int):
+        self.seed, self.stream, self.size, self.lo = seed, stream, size, lo
+        self.hi, self.at = min(size, lo + rows), 0
+        self.g = None if self.hi - lo < size else _gen(seed, stream)
+
+    def uniform(self, a: float, b: float, w: Optional[int] = None) -> np.ndarray:
+        g, width = self.g, 1 if w is None else w
+        if g is None:
+            g = _gen(self.seed, self.stream)
+            off = self.at + self.lo * width
+            g.bit_generator.advance(off // 4)   # one step per 4 doubles
+            g.random(off % 4)
+            self.at += self.size * width
+        shape = self.hi - self.lo if w is None else (self.hi - self.lo, w)
+        # a + (b - a) u is u at (0, 1): random() gives those bits, faster
+        return g.random(shape) if (a, b) == (0.0, 1.0) else g.uniform(a, b, shape)
+
+
+def _sweep(suite: str, seed: int, chunks: Iterable[tuple[int, int, int]],
+           draw: Callable, tol: float, notes: str = "",
+           rows: int = _BLOCK // 2) -> CheckReport:
+    """Fold a chunk plan into one report, `rows` rows at a time.
+
+    For each (stream, size, key) of the plan and each block of at most
+    `rows` of its rows, draw(_Rows(...), key) returns the block's slacks, a
+    function giving block row i's witness, and the two sides the slacks are
+    judged against (`at_least`).  The worst slack is the first minimum in
+    plan order.  By default a block holds _BLOCK // 2 points (x, y): at
+    twice that, glibc gave the kernels' temporaries fresh pages each block.
     """
-    worst, witness, rows, ok = math.inf, None, 0, True
+    worst, witness, n, ok = math.inf, None, 0, True
     for stream, size, key in chunks:
-        slacks, row, lhs, rhs = draw(_gen(seed, stream), size, key)
-        if slacks.size == 0:
-            continue
-        rows += slacks.size
-        i = int(np.argmin(slacks))
-        if slacks[i] < worst:
-            worst, witness = float(slacks[i]), row(i)
-        lhs, rhs = (np.broadcast_to(a, slacks.shape) for a in (lhs, rhs))
-        for lo in range(0, slacks.size, _BLOCK):       # temporaries per block
-            cut = slice(lo, lo + _BLOCK)
-            ok = ok and bool(at_least(lhs[cut], rhs[cut], tol, slacks[cut]).all())
-        del slacks, row, lhs, rhs       # freed before the next chunk's draw
-    return CheckReport(suite, rows, worst, witness, ok, notes)
+        for lo in range(0, size, rows):
+            slacks, row, lhs, rhs = draw(_Rows(seed, stream, size, lo, rows), key)
+            if slacks.size == 0:
+                continue
+            n += slacks.size
+            i = int(np.argmin(slacks))
+            if slacks[i] < worst:
+                worst, witness = float(slacks[i]), row(i)
+            ok = ok and bool(at_least(lhs, rhs, tol, slacks).all())
+            del slacks, row, lhs, rhs   # freed before the next block's draw
+    return CheckReport(suite, n, worst, witness, ok, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +157,14 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
                           f"in {draws} draws")
     tally = [0, 0, 0, 0]            # admitted, drawn, xt <= x, xhat >= 0
 
-    def draw(g, c, _):
-        # four uniform(lo, hi, c) calls in one block: lo + (hi - lo) * u
-        x, xt, u_y, u_yt = g.random((4, c))
+    def draw(g, _):
+        # four uniform draws lo + (hi - lo) u, the y rows once `near` is known
+        x, xt = g.uniform(0.0, 1.0), g.uniform(0.0, 1.0)
         xhat = N * x - (N - 1) * xt
         ok_order = xt <= x
         near = np.flatnonzero(ok_order & (xhat <= 1.0))
-        y = 1.0 + (Q - 1.0) * u_y[near]
-        yt = 1.0 + (Q - 1.0) * u_yt[near]
+        y = 1.0 + (Q - 1.0) * g.uniform(0.0, 1.0)[near]
+        yt = 1.0 + (Q - 1.0) * g.uniform(0.0, 1.0)[near]
         yhat = N * y - (N - 1) * yt
         keep = yhat >= Q
         i = near[keep]
@@ -148,7 +173,7 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
         rhs = ((N - 1) / N * _M_vec(p, cols[2], cols[3])
                + cols[5] / (N * Q) * _M_vec(p, cols[4], np.full_like(cols[4], Q)))
         tally[0] += i.size
-        tally[1] += c
+        tally[1] += g.size
         tally[2] += np.count_nonzero(ok_order)
         tally[3] += np.count_nonzero(xhat >= 0)
         return lhs - rhs, _row(*cols), lhs, rhs
@@ -156,7 +181,7 @@ def check_main_inequality_M(p: Params, n_samples: int = 100_000,
     # whole waves: the admitted count is read only before a wave's first chunk
     plan = itertools.takewhile(lambda c: c[0] % WAVE or tally[0] < n_samples,
                                _quota(draws))
-    report = _sweep("main-inequality-M", seed, plan, draw, tol)
+    report = _sweep("main-inequality-M", seed, plan, draw, tol, rows=CHUNK)
     admitted, raw, n_order, n_hat = tally
     if admitted < n_samples:
         raise DomainError(f"main inequality sampler admitted {admitted} of "
@@ -179,25 +204,24 @@ def check_main_inequality_B(p: Params, n_samples: int = 100_000,
         raise DomainError("main inequality sampler needs Q > 1")
     N, Q = p.N, p.Q
 
-    def draw(g, c, n_low):
+    def draw(g, n_low):
         n_hi = N - n_low
-        xs = g.uniform(0.0, 1.0, (c, N))
-        y_lo = g.uniform(1.0, Q, (c, n_low))
-        # at n_hi = 0, y_hi is (c, 0): its draw takes nothing from the stream
+        xs = g.uniform(0.0, 1.0, N)
+        y_lo = g.uniform(1.0, Q, n_low)
+        # at n_hi = 0, y_hi is (rows, 0): its draw takes nothing from the stream
         slack_budget = N * Q - y_lo.sum(axis=1) - n_hi * Q
-        y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, (c, n_hi)) / n_hi
-        ybar = np.concatenate([y_lo, y_hi], axis=1).mean(axis=1)
-        child = np.empty((c, N))        # the two column groups, m = 1 then y/Q
-        child[:, :n_low] = _B_vec(p, xs[:, :n_low], y_lo, 1.0)
-        child[:, n_low:] = _B_vec(p, xs[:, n_low:], y_hi, y_hi / Q)
-        lhs, rhs = _B_vec(p, xs.mean(axis=1), ybar, 1.0), child.mean(axis=1)
+        y_hi = Q + slack_budget[:, None] * g.uniform(0.0, 1.0, n_hi) / n_hi
+        y = np.concatenate([y_lo, y_hi], axis=1)
+        m = y / Q
+        m[:, :n_low] = 1.0          # the m = 1 slab, then m = y/Q
+        lhs = _B_vec(p, xs.mean(axis=1), y.mean(axis=1), 1.0)
+        rhs = _B_vec(p, xs, y, m).mean(axis=1)
         return lhs - rhs, lambda i: {
             "stratum": n_low, "x": [float(v) for v in xs[i]],
-            "y": [float(v) for v in (*y_lo[i], *y_hi[i])],
-            "m": [1.0] * n_low + [float(v) for v in y_hi[i] / Q]}, lhs, rhs
+            "y": [float(v) for v in y[i]], "m": [float(v) for v in m[i]]}, lhs, rhs
 
     return _sweep("main-inequality-B", seed, _quota(n_samples, range(1, N + 1)),
-                  draw, tol, f"strata n_low=1..{N}")
+                  draw, tol, f"strata n_low=1..{N}", max(1, _BLOCK // (2 * N)))
 
 
 def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
@@ -213,27 +237,27 @@ def check_wedge_inequality(p: Params, n_samples: int = 100_000, seed: int = 0,
         raise DomainError("wedge sampler needs Q > 1")
     N, Q = p.N, p.Q
 
-    def draw(g, c, k):
+    def draw(g, k):
         nodek = N ** (-k)
         x_lo = N ** (-k - 1.0)
         x_hi = (N - 1 + nodek) / N
         y_lo = (Q + N - 1) / N
-        x = x_lo + (x_hi - x_lo) * g.uniform(0.0, 1.0, c)
+        x = x_lo + (x_hi - x_lo) * g.uniform(0.0, 1.0)
         y_cap = np.minimum(Q, 1 + (Q - 1) * N**k * x)
-        y = y_lo + (y_cap - y_lo) * g.uniform(0.0, 1.0, c)
+        y = y_lo + (y_cap - y_lo) * g.uniform(0.0, 1.0)
         xh_lo = np.maximum(0.0, N * x - (N - 1))
-        xhat = xh_lo + (nodek - xh_lo) * g.uniform(0.0, 1.0, c)
+        xhat = xh_lo + (nodek - xh_lo) * g.uniform(0.0, 1.0)
         yh_lo = np.maximum(Q, N * y - (N - 1) * Q)
         yh_hi = N * y - (N - 1)
-        yhat = yh_lo + (yh_hi - yh_lo) * g.uniform(0.0, 1.0, c)
-        pin = min(64, c // 2)
-        xhat[:pin] = nodek          # sharp edge: slack 0 expected
-        yhat[pin:2 * pin] = Q
+        yhat = yh_lo + (yh_hi - yh_lo) * g.uniform(0.0, 1.0)
+        pin = min(64, g.size // 2)      # rows of the chunk, not of the block
+        xhat[:max(0, pin - g.lo)] = nodek       # sharp edge: slack 0 expected
+        yhat[max(0, pin - g.lo):max(0, 2 * pin - g.lo)] = Q
         xt = (N * x - xhat) / (N - 1)
         yt = (N * y - yhat) / (N - 1)
         lhs = _wedge_vec(p, k, x, y)
         rhs = ((N - 1) / N * _wedge_vec(p, k, xt, yt)
-               + yhat / (N * Q) * _wedge_vec(p, k, xhat, np.full(c, Q)))
+               + yhat / (N * Q) * _wedge_vec(p, k, xhat, np.full_like(x, Q)))
         return lhs - rhs, lambda i: {
             "k": k, "x": float(x[i]), "y": float(y[i]), "xt": float(xt[i]),
             "yt": float(yt[i]), "xhat": float(xhat[i]),
@@ -251,15 +275,13 @@ def check_concavity(p: Params, n_samples: int = 10_000, seed: int = 0,
     if p.degenerate:
         raise DomainError("concavity check needs Q > 1")
 
-    def draw(g, c, _):
-        x1 = g.uniform(0.0, 1.0, c)
-        x2 = g.uniform(0.0, 1.0, c)
-        y1 = g.uniform(1.0, p.Q, c)
-        y2 = g.uniform(1.0, p.Q, c)
-        lam = g.uniform(0.0, 1.0, c)
-        xm = lam * x1 + (1 - lam) * x2
-        ym = lam * y1 + (1 - lam) * y2
-        lhs = _M_vec(p, xm, ym)
+    def draw(g, _):
+        x1 = g.uniform(0.0, 1.0)
+        x2 = g.uniform(0.0, 1.0)
+        y1 = g.uniform(1.0, p.Q)
+        y2 = g.uniform(1.0, p.Q)
+        lam = g.uniform(0.0, 1.0)
+        lhs = _M_vec(p, lam * x1 + (1 - lam) * x2, lam * y1 + (1 - lam) * y2)
         a, b = lam * _M_vec(p, x1, y1), (1 - lam) * _M_vec(p, x2, y2)
         return lhs - a - b, _row(x1, y1, x2, y2, lam), lhs, a + b
 
@@ -271,11 +293,11 @@ def check_t_monotonicity(p: Params, n_samples: int = 10_000, seed: int = 0,
     if p.degenerate:
         raise DomainError("rescaling check needs Q > 1")
 
-    def draw(g, c, _):
-        x = g.uniform(0.0, 1.0, c)
-        y = g.uniform(1.0, p.Q, c)
-        t2 = 1 + (y - 1) * g.uniform(0.0, 1.0, c)      # keeps y/t2 >= 1
-        t1 = 1 + (t2 - 1) * g.uniform(0.0, 1.0, c)
+    def draw(g, _):
+        x = g.uniform(0.0, 1.0)
+        y = g.uniform(1.0, p.Q)
+        t2 = 1 + (y - 1) * g.uniform(0.0, 1.0)         # keeps y/t2 >= 1
+        t1 = 1 + (t2 - 1) * g.uniform(0.0, 1.0)
         lhs, rhs = t1 * _M_vec(p, x, y / t1), t2 * _M_vec(p, x, y / t2)
         return lhs - rhs, _row(x, y, t1, t2), lhs, rhs
 
@@ -293,9 +315,10 @@ def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
         np.geomspace(1e-12, 1.0, n_samples - half),
     ])
 
-    def draw(g, c, _):
-        lhs, rhs = p.Q * np.power(xs, p.epsilon), _f_vec(p, xs)
-        return lhs - rhs, lambda i: float(xs[i]), lhs, rhs
+    def draw(g, _):
+        x = xs[g.lo:g.hi]
+        lhs, rhs = p.Q * np.power(x, p.epsilon), _f_vec(p, x)
+        return lhs - rhs, lambda i: float(x[i]), lhs, rhs
 
     nodes = np.power(float(p.N), -np.arange(41.0))
     fs = p.Q * np.power(nodes, p.epsilon)
@@ -313,13 +336,14 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
     """Both closed-form branches agree on the line y = 1 + (Q-1)x."""
     if p.degenerate:
         raise DomainError("branch continuity needs Q > 1")
-    x = np.linspace(1e-9, 1.0, n_samples)
-    y = 1 + (p.Q - 1) * x
-    # where y rounded below the line, one step up puts u = x(Q-1)/(y-1) <= 1;
-    # such a y is below Q, so stepping toward Q is that step, and y = Q stays
-    y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, p.Q), y)
+    xs = np.linspace(1e-9, 1.0, n_samples)
 
-    def draw(g, c, _):
+    def draw(g, _):
+        x = xs[g.lo:g.hi]
+        y = 1 + (p.Q - 1) * x
+        # a y rounded below the line steps up to put u = x(Q-1)/(y-1) <= 1;
+        # it is below Q, so the step is toward Q, and y = Q stays
+        y = np.where(y - 1 < (p.Q - 1) * x, np.nextafter(y, p.Q), y)
         lhs, rhs = x + y - 1, _upper_vec(p, x, y)
         return -np.abs(lhs - rhs), lambda i: float(x[i]), lhs, rhs
 
@@ -329,11 +353,11 @@ def check_branch_continuity(p: Params, n_samples: int = 1000, seed: int = 0,
 def check_homogeneity(p: Params, n_samples: int = 1000, seed: int = 0,
                       tol: float = 1e-12) -> CheckReport:
     """B(x, ty, tm) = t B(x, y, m), relative error, default tol 1e-12."""
-    def draw(g, c, _):
-        x = g.uniform(0.0, 1.0, c)
-        m = g.uniform(0.5, 2.0, c)
-        y = m * (1 + (p.Q - 1) * g.uniform(0.0, 1.0, c))
-        t = g.uniform(0.5, 2.0, c)
+    def draw(g, _):
+        x = g.uniform(0.0, 1.0)
+        m = g.uniform(0.5, 2.0)
+        y = m * (1 + (p.Q - 1) * g.uniform(0.0, 1.0))
+        t = g.uniform(0.5, 2.0)
         b1 = _B_vec(p, x, t * y, t * m)
         b2 = t * _B_vec(p, x, y, m)
         rel = np.abs(b1 - b2) / np.maximum(np.abs(b2), 1e-300)
@@ -348,19 +372,20 @@ def check_wedge_domination(p: Params, n_samples: int = 10_000, seed: int = 0,
     if p.degenerate:
         raise DomainError("wedge domination needs Q > 1")
     side = max(2, int(math.isqrt(n_samples)))
-    x = np.linspace(0.0, 1.0, side)
-    y = np.linspace(1.0, p.Q, side)
-    X, Y = (a.ravel() for a in np.meshgrid(x, y))
-    m = _M_vec(p, X, Y)
+    x, y = np.linspace(0.0, 1.0, side), np.linspace(1.0, p.Q, side)[:, None]
+    grid = [np.broadcast_to(a, (side, side)) for a in (x, y)]  # np.meshgrid
+    m = _M_vec(p, *grid).ravel()
 
-    def draw(g, c, k):
-        wedge = _wedge_vec(p, k, X, Y)
-        return wedge - m, lambda i: {"k": k, "x": float(X[i]),
-                                     "y": float(Y[i])}, wedge, m
+    def draw(g, k):
+        X, Y = (a[g.lo:g.hi].ravel() for a in grid)
+        mk, wedge = m[g.lo * side:g.hi * side], _wedge_vec(p, k, X, Y)
+        return wedge - mk, lambda i: {"k": k, "x": float(X[i]),
+                                      "y": float(Y[i])}, wedge, mk
 
-    plan = ((0, X.size, k) for k in range(1, DOMINATION_K_MAX + 1))
+    plan = ((0, side, k) for k in range(1, DOMINATION_K_MAX + 1))
     return _sweep("wedge-domination", seed, plan, draw, tol,
-                  f"k=1..{DOMINATION_K_MAX} on a {side}x{side} grid")
+                  f"k=1..{DOMINATION_K_MAX} on a {side}x{side} grid",
+                  max(1, _BLOCK // (2 * side)))
 
 
 def check_weak_type(w: DyadicWeight, p_exp: float,

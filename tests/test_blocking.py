@@ -7,7 +7,8 @@ once, frozen: every step is elementwise, so blocking must move no bit.  The one
 step that sees the whole input is `_f_vec`'s eta^k table, power(eta,
 0..max k), whose length now follows each block's largest k; the last test
 pins that np.power's table does not depend on its length.  The tracemalloc
-bounds hold the kernels' temporaries to the block, not to the input.
+bounds hold the kernels' temporaries to the block, not to the input, and
+every verify suite's peak to its row blocks, not to its sample count.
 """
 
 import math
@@ -26,7 +27,7 @@ from a1embed.bellman import (
     _wedge_vec,
 )
 from a1embed.params import BOUNDARY_TOL, node_scale
-from a1embed.verify import check_main_inequality_B
+from a1embed.verify import SUITES, run_suite
 
 
 def ref_f_vec(p, x, power=np.power):
@@ -177,7 +178,22 @@ def test_B_vec_temporaries_stay_in_the_block(p53):
     assert _peak(lambda: _B_vec(p53, x, y, m)) < x.nbytes + 4 * 2**20
 
 
-def test_main_B_peak_is_set_by_its_draws(p53):
-    # 12.9 MiB while the child values went through concatenated copies
-    check_main_inequality_B(p53, n_samples=100)
-    assert _peak(lambda: check_main_inequality_B(p53, n_samples=100_000)) < 10 * 2**20
+# at 1e5 samples every suite, at 1e6 the two that drew most per row
+PEAK_CASES = [*(((Q, d), 100_000, 3.5, list(SUITES))
+                for Q, d in [(10.0, 2), (2.0, 1), (5.0, 3)]),
+              ((5.0, 3), 1_000_000, 4.0, ["homogeneity", "main-inequality-B"])]
+
+
+def test_main_B_peak_is_set_by_its_draws():
+    # every suite reads its stream in row blocks, so no peak follows the
+    # sample count.  With whole chunks, at 1e5 samples homogeneity peaked
+    # at 6.94 MiB, concavity 6.84, main-B 6.67, branch continuity 5.43 and
+    # wedge domination 4.31; at 1e6 and (5, 3) homogeneity 68.7 and main-B
+    # 22.9 (12.9 at 1e5 while its child values went through concatenated
+    # copies)
+    for (Q, d), n, mib, names in PEAK_CASES:
+        p = new_params(Q, d)
+        for name in names:
+            run_suite(p, name, 100)
+            peak = _peak(lambda: run_suite(p, name, n))
+            assert peak < mib * 2**20, (Q, d, n, name, peak / 2**20)

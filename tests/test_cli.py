@@ -6,12 +6,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import a1embed
 from a1embed import bellman, cli, eval_M, new_params, pair_from_json, stats
 from a1embed.cli import _fmt, _header, _json_text, main
 
@@ -332,6 +338,27 @@ def test_unwritable_out_exits_two_with_an_error_line(capsys, tmp_path, argv,
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path) in err
+
+
+def test_out_of_memory_exits_two_with_an_error_line():
+    # smooth-bound's 1e9-point grid past a 1.5 GB address space, set in the
+    # child only: numpy's MemoryError ended in a traceback and exit 1
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(a1embed.__file__).parent.parent)
+    # one BLAS thread: OpenBLAS reserves a stack per thread at import
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "a1embed.cli", "verify", "--Q", "2", "--d", "1",
+         "--suite", "smooth-bound", "--samples", "1000000000"],
+        env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: Unable to allocate")
+    assert run.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

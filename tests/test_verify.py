@@ -71,8 +71,9 @@ def test_sampler_determinism(p102):
 @pytest.mark.parametrize("c", [1, 7, 65536])
 @pytest.mark.parametrize("Q", [1 + 1e-9, 2.0, 10.0, 1e12])
 def test_one_random_block_reads_like_four_uniform_calls(Q, c):
-    # the main-M sampler draws (x, xt, y, yt) as one g.random((4, c)) and
-    # maps the y rows by 1 + (Q - 1) u, which is how uniform(1, Q) maps them
+    # the main-M sampler reads (x, xt, y, yt) as four uniform(0, 1) rows of
+    # one stream, as g.random((4, c)) does, and maps the y rows by
+    # 1 + (Q - 1) u, which is how uniform(1, Q) maps them
     g = verify._gen(5, 9)
     want = [g.uniform(0.0, 1.0, c), g.uniform(0.0, 1.0, c),
             g.uniform(1.0, Q, c), g.uniform(1.0, Q, c)]
@@ -213,27 +214,33 @@ def test_main_inequality_M_admission_rate(d):
 
 @pytest.fixture
 def plans(monkeypatch):
-    """Every chunk each _sweep call draws, in the order it draws them."""
+    """Every block each _sweep call draws, in the order it draws them, as
+    (stream, chunk size, key, first row, end row)."""
     seen = []
     sweep = verify._sweep
 
-    def spy(suite, seed, chunks, *rest):
-        plan = []
-        seen.append(plan)
+    def spy(suite, seed, chunks, draw, *rest, **kw):
+        blocks = []
+        seen.append(blocks)
 
-        def record():       # lazily, as main-M's stop reads its running tally
-            for chunk in chunks:
-                plan.append(chunk)
-                yield chunk
+        def record(g, key):     # as drawn: main-M's stop reads its tally
+            blocks.append((g.stream, g.size, key, g.lo, g.hi))
+            return draw(g, key)
 
-        return sweep(suite, seed, record(), *rest)
+        return sweep(suite, seed, chunks, record, *rest, **kw)
 
     monkeypatch.setattr(verify, "_sweep", spy)
     return seen
 
 
+def _blocks(stream, size, key, rows):
+    return [(stream, size, key, lo, min(size, lo + rows))
+            for lo in range(0, size, rows)]
+
+
 def test_sampler_chunk_plans(p21, p102, plans):
-    C = verify.CHUNK
+    # a block holds B points (x, y): B rows, B / N of main-B's N-wide rows
+    C, B = verify.CHUNK, verify._BLOCK // 2
     # main-B: 2C + 1 rows over N = 2 strata, C + 1 rows each
     check_main_inequality_B(p21, n_samples=2 * C + 1)
     # wedge: 10 rows over the 7 wedges k = 0..6, 2 rows each
@@ -241,24 +248,32 @@ def test_sampler_chunk_plans(p21, p102, plans):
     # concavity and t-monotonicity above one chunk
     check_concavity(p102, n_samples=C + 5)
     check_t_monotonicity(p102, n_samples=C + 5)
-    # homogeneity keeps one chunk of all its rows
+    # homogeneity keeps one chunk of all its rows, read in blocks
     verify.check_homogeneity(p102, n_samples=C + 5)
+    # the grids: one chunk of blocks, wedge domination's in grid rows
+    verify.check_branch_continuity(p102, n_samples=C + 5)
+    verify.check_wedge_domination(p102, n_samples=300 ** 2)
     assert plans == [
-        [(1 << 32, C, 1), ((1 << 32) | 1, 1, 1),
-         (2 << 32, C, 2), ((2 << 32) | 1, 1, 2)],
-        [(k << 32, 2, k) for k in range(7)],
-        [(0, C, 0), (1, 5, 0)],
-        [(0, C, 0), (1, 5, 0)],
-        [(0, C + 5, 0)],
+        [*_blocks(1 << 32, C, 1, B // 2), ((1 << 32) | 1, 1, 1, 0, 1),
+         *_blocks(2 << 32, C, 2, B // 2), ((2 << 32) | 1, 1, 2, 0, 1)],
+        [(k << 32, 2, k, 0, 2) for k in range(7)],
+        [*_blocks(0, C, 0, B), (1, 5, 0, 0, 5)],
+        [*_blocks(0, C, 0, B), (1, 5, 0, 0, 5)],
+        _blocks(0, C + 5, 0, B),
+        _blocks(0, C + 5, 0, B),
+        [b for k in range(1, 11) for b in _blocks(0, 300, k, B // 300)],
     ]
+    assert len(plans[4]) == 5 and len(plans[6]) == 60
 
 
 def test_main_inequality_M_draws_whole_waves(p102, plans):
     one_wave = check_main_inequality_M(p102, n_samples=1).samples
     # one row more than the first wave admits: the second wave is drawn
-    # whole, and the sampler stops at the boundary after it
+    # whole, each chunk as one block, and the sampler stops at the boundary
+    # after it
     r = check_main_inequality_M(p102, n_samples=one_wave + 1)
-    two_waves = [(i, verify.CHUNK, 0) for i in range(2 * verify.WAVE)]
+    C = verify.CHUNK
+    two_waves = [(i, C, 0, 0, C) for i in range(2 * verify.WAVE)]
     assert plans == [two_waves[:verify.WAVE], two_waves]
     assert r.samples > one_wave + 1
 
