@@ -15,13 +15,14 @@ read only by array commands: eval, extremize and oracle never load it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 
 from . import __version__
-from .bellman import _f_vec, _M_vec, classify_point, eval_B, eval_M, np
+from .bellman import _BLOCK, _f_vec, _M_vec, classify_point, eval_B, eval_M, np
 from .dyadic import pair_to_json
 from .extremize import build_extremizer
 from .params import DomainError, Params, clamp_omega, new_params
@@ -113,22 +114,28 @@ def _json_text(doc) -> str:
     return "".join(out)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out: str | None) -> None:
+    """Write text, a str or an iterable of str pieces, to out or stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _texts(v: np.ndarray) -> list[str]:
+    """["%.17g" % x for x in v], each distinct bit pattern formatted once."""
+    bits, at = np.unique(v.view(np.uint64), return_inverse=True)
+    texts = ["%.17g" % x for x in bits.view(float)]
+    return np.array(texts, dtype=object)[at].tolist()
 
 
 def cmd_eval(p: Params, args) -> int:
     m = 1.0 if args.m is None else args.m
     value = eval_B(p, args.x, args.y, m)
-    print(_header("eval", Q=args.Q, d=args.d, x=args.x, y=args.y, m=m))
-    print(f"B({_fmt(args.x)}, {_fmt(args.y)}, {_fmt(m)}) = {_fmt(value)}")
+    text = (_header("eval", Q=args.Q, d=args.d, x=args.x, y=args.y, m=m) +
+            f"\nB({_fmt(args.x)}, {_fmt(args.y)}, {_fmt(m)}) = {_fmt(value)}\n")
     if not p.degenerate:
         info = classify_point(p, args.x, min(max(args.y / m, 1.0), p.Q))
-        print(info.describe())
+        text += info.describe() + "\n"
+    sys.stdout.write(text)
     return 0
 
 
@@ -137,30 +144,33 @@ def cmd_table(p: Params, args) -> int:
         raise DomainError(f"table needs nx, ny >= 1, got {args.nx}, {args.ny}")
     xs = np.linspace(0.0, 1.0, args.nx)     # x in [0, 1] and y in [1, Q]:
     ys = np.linspace(1.0, p.Q, args.ny)     # eval_M's clamp changes nothing
-    power = np.vectorize(math.pow, otypes=[float])      # eval_f's eta^k
-    y_texts = list(map(_fmt, ys.tolist()))
-    lines = [_header("table", Q=args.Q, d=args.d, nx=args.nx, ny=args.ny),
-             "x,y,M"]
-    # eval_M's values bit for bit, one vector-kernel call per x row: whole-grid
-    # arrays and 10 KB row strings left holes in the heap that raised the
-    # peak RSS of closed-form-cli by up to 5%, so no allocation outgrows a row
-    for x in xs.tolist():
-        row = np.full(args.ny, x)
-        row = row if p.degenerate else _M_vec(p, row, ys, power)
-        x = _fmt(x)
-        lines += [f"{x},{y},{v:.17g}" for y, v in zip(y_texts, row.tolist())]
-    lines.append("")    # the last newline, without a second copy of the text
-    _emit("\n".join(lines), args.out)
+    cells = ["", *(f",{_fmt(y)},%s\n" for y in ys.tolist())]  # x.join: a row
+    ny, rows = args.ny, max(1, _BLOCK // 2 // args.ny)
+    ys = np.resize(ys, rows * ny)       # the y of every row of a block
+
+    def power(eta, ks):     # eval_f's eta^k
+        return np.array([math.pow(eta, k) for k in ks.tolist()])
+
+    # eval_M's values bit for bit: one kernel call per _BLOCK // 2 points (a
+    # block's distinct texts are its largest allocation), one % per x row
+    def blocks():
+        yield _header("table", Q=args.Q, d=args.d, nx=args.nx, ny=ny) + \
+            "\nx,y,M\n"
+        for lo in range(0, args.nx, rows):
+            x = np.repeat(xs[lo:lo + rows], ny)
+            m = x if p.degenerate else _M_vec(p, x, ys[:x.size], power)
+            # ny texts a row; only this loop's zip holds the block's texts
+            for x, row in zip(map(_fmt, xs[lo:lo + rows].tolist()),
+                              zip(*[iter(_texts(m))] * ny)):
+                yield x.join(cells) % row
+
+    _emit(blocks(), args.out)
     return 0
 
 
 def _profile_grid(p: Params, n_points: int) -> np.ndarray:
-    xs = set(np.geomspace(1e-6, 1.0, n_points).tolist())
-    node = 1.0
-    while node >= 1e-6:
-        xs.add(node)
-        node /= p.N
-    return np.array(sorted(xs))
+    nodes = [math.ldexp(1.0, -p.d * k) for k in range(19 // p.d + 1)]  # >= 1e-6
+    return np.unique(np.append(np.geomspace(1e-6, 1.0, n_points), nodes))
 
 
 def cmd_plot_data(p: Params, args) -> int:
@@ -169,14 +179,17 @@ def cmd_plot_data(p: Params, args) -> int:
     if args.n_points < 1:
         raise DomainError(f"plot-data needs n_points >= 1, got {args.n_points}")
     xs = _profile_grid(p, args.n_points)
-    f = _f_vec(p, xs)
-    fs = p.Q * np.power(xs, p.epsilon)
-    lines = [_header("plot-data", Q=args.Q, d=args.d, n_points=args.n_points),
-             "x,f,f_smooth,f_over_Q,f_smooth_over_Q"]
-    cols = (c.tolist() for c in (xs, f, fs, f / p.Q, fs / p.Q))
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % row for row in zip(*cols)]
-    lines.append("")
-    _emit("\n".join(lines), args.out)
+
+    def blocks():   # one % per block of 1024 rows
+        yield _header("plot-data", Q=args.Q, d=args.d, n_points=args.n_points) \
+            + "\nx,f,f_smooth,f_over_Q,f_smooth_over_Q\n"
+        for x in np.split(xs, range(1024, xs.size, 1024)):
+            f, fs = _f_vec(p, x), p.Q * np.power(x, p.epsilon)
+            cols = np.stack([x, f, fs, f / p.Q, fs / p.Q], axis=1).ravel()
+            yield "%.17g,%.17g,%.17g,%.17g,%.17g\n" * x.size % \
+                tuple(cols.tolist())
+
+    _emit(blocks(), args.out)
     return 0
 
 

@@ -310,13 +310,12 @@ def check_smooth_bound(p: Params, n_samples: int = 100_000, seed: int = 0,
     if p.degenerate:
         raise DomainError("smooth bound needs Q > 1")
     half = n_samples // 2
-    xs = np.concatenate([
-        np.linspace(0.0, 1.0, half),
-        np.geomspace(1e-12, 1.0, n_samples - half),
-    ])
+    lin = np.linspace(0.0, 1.0, half)
+    geo = np.geomspace(1e-12, 1.0, n_samples - half)
 
-    def draw(g, _):
-        x = xs[g.lo:g.hi]
+    def draw(g, _):     # the block's rows of lin, then of geo: no joined copy
+        lo, hi = max(g.lo - half, 0), max(g.hi - half, 0)
+        x = np.concatenate([lin[g.lo:g.hi], geo[lo:hi]])
         lhs, rhs = p.Q * np.power(x, p.epsilon), _f_vec(p, x)
         return lhs - rhs, lambda i: float(x[i]), lhs, rhs
 

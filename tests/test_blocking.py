@@ -7,8 +7,10 @@ once, frozen: every step is elementwise, so blocking must move no bit.  The one
 step that sees the whole input is `_f_vec`'s eta^k table, power(eta,
 0..max k), whose length now follows each block's largest k; the last test
 pins that np.power's table does not depend on its length.  The tracemalloc
-bounds hold the kernels' temporaries to the block, not to the input, and
-every verify suite's peak to its row blocks, not to its sample count.
+bounds hold the kernels' temporaries to the block, not to the input,
+every verify suite's peak to its row blocks, not to its sample count, and
+the `table` and `plot-data` writers' peaks to their row blocks, not to
+their output.
 """
 
 import math
@@ -17,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a1embed import new_params, wedge_coeffs
+from a1embed import new_params, verify, wedge_coeffs
 from a1embed.bellman import (
     _BLOCK,
     _B_vec,
@@ -26,6 +28,7 @@ from a1embed.bellman import (
     _upper_vec,
     _wedge_vec,
 )
+from a1embed.cli import main
 from a1embed.params import BOUNDARY_TOL, node_scale
 from a1embed.verify import SUITES, run_suite
 
@@ -197,3 +200,44 @@ def test_main_B_peak_is_set_by_its_draws():
             run_suite(p, name, 100)
             peak = _peak(lambda: run_suite(p, name, n))
             assert peak < mib * 2**20, (Q, d, n, name, peak / 2**20)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK // 2 + 1, _BLOCK + 3, 3 * _BLOCK + 5])
+def test_smooth_bound_blocks_are_its_joined_grid(monkeypatch, n):
+    # smooth-bound reads each block from its linspace and geomspace halves,
+    # where it once sliced one joined copy: its blocks, in order, must be
+    # that copy's rows.  A report would not show a row read twice, since
+    # its witness is an x, not a row number
+    p = new_params(10.0, 2)
+    seen = []
+
+    def spy(p, x, power=None):
+        seen.append(x.copy())
+        return _f_vec(p, x, power)
+
+    monkeypatch.setattr(verify, "_f_vec", spy)
+    verify.check_smooth_bound(p, n)
+    grid = np.concatenate([np.linspace(0.0, 1.0, n // 2),
+                           np.geomspace(1e-12, 1.0, n - n // 2)])
+    blocks = seen[1:]       # seen[0] is the nodes N^-k
+    assert max(b.size for b in blocks) <= _BLOCK // 2
+    assert _same(np.concatenate(blocks), grid)
+
+
+def test_csv_writers_stream_their_rows(tmp_path):
+    # table and plot-data write each block of rows as it is formatted.  When
+    # they joined every line into one string, table --nx 2001 --ny 201
+    # peaked at 82 MiB and plot-data --n-points 200000 at 72 MiB; plot-data
+    # still holds its profile grid (8 bytes a point) whole, for np.unique
+    out = str(tmp_path / "out.csv")
+
+    def peak(*argv):
+        return _peak(lambda: main([*argv, "--Q", "10", "--d", "2", "--out", out]))
+
+    peak("table", "--nx", "3", "--ny", "3")
+    peak("plot-data", "--n-points", "3")
+    small = peak("table", "--nx", "401", "--ny", "201")
+    large = peak("table", "--nx", "2001", "--ny", "201")
+    assert large < 3 * 2**20 and large - small < 2**20, (small, large)
+    plot = peak("plot-data", "--n-points", "200000")
+    assert plot < 6 * 2**20, plot / 2**20

@@ -237,7 +237,7 @@ def test_libm_class_passes_where_avx512_is_switched_off(power_rounding):
     # the child skips this test, so it starts no child of its own
     run = child("-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "tests/test_golden.py", "tests/test_blocking.py",
-                "tests/test_sweep_reference.py",
+                "tests/test_sweep_reference.py", "tests/test_csv_reference.py",
                 *(f"tests/test_bellman.py::{t}" for t in POWER_TESTS))
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
