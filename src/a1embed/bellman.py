@@ -20,7 +20,6 @@ evaluation of f stays exact-in-structure down to subnormal x.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -189,37 +188,9 @@ class _Numpy:
 
 np = _Numpy()   # the array code's numpy, here and in verify and cli
 
-_BLOCK = 1 << 15    # elements per slice of a blocked kernel: 256 KB a float64
+_BLOCK = 1 << 15    # callers hand a kernel at most _BLOCK // 2 points a call
 
 
-def _blocked(kernel):
-    """Apply an elementwise kernel to consecutive row blocks of at most
-    _BLOCK elements of its array arguments (which share one shape), each
-    block flattened, into one output, so its temporaries stay O(_BLOCK); the
-    other arguments go whole to every block, and a 1-D input of at most one
-    block goes as it is."""
-
-    @functools.wraps(kernel)
-    def run(*args, **kw):
-        for x in args:      # the first array argument gives the shape
-            if isinstance(x, np.ndarray) and x.ndim:
-                break
-        else:
-            return kernel(*args, **kw)
-        if x.ndim == 1 and x.size <= _BLOCK:
-            return kernel(*args, **kw)
-        out = np.empty(x.shape)
-        step = max(1, _BLOCK // max(1, math.prod(x.shape[1:])))   # rows
-        for lo in range(0, len(out), step):
-            out[lo:lo + step].reshape(-1)[:] = kernel(*(
-                a[lo:lo + step].ravel() if isinstance(a, np.ndarray) and a.ndim
-                else a for a in args), **kw)
-        return out
-
-    return run
-
-
-@_blocked
 def _f_vec(p: Params, x: np.ndarray, power=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     e = np.frexp(x)[1]
@@ -245,7 +216,6 @@ def _upper_vec(p: Params, x: np.ndarray, y: np.ndarray,
     return (y - 1) / (p.Q - 1) * _f_vec(p, u, power)
 
 
-@_blocked
 def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
            power=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -256,12 +226,10 @@ def _M_vec(p: Params, x: np.ndarray, y: np.ndarray,
     return out
 
 
-@_blocked
 def _B_vec(p: Params, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m * _M_vec(p, x, np.clip(np.divide(y, m), 1.0, p.Q))
 
 
-@_blocked
 def _wedge_vec(p: Params, k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -1,16 +1,18 @@
-"""The vector kernels in row blocks against the whole-array kernels, bit for bit.
+"""The vector kernels bit for bit at any length, and the callers' blocks.
 
-`_f_vec`, `_M_vec`, `_B_vec` and `_wedge_vec` run on consecutive blocks
-of at most `bellman._BLOCK` elements (`_upper_vec` through `_f_vec`).  The
-`ref_*` kernels below are the same kernels as they ran on a whole array at
-once, frozen: every step is elementwise, so blocking must move no bit.  The one
-step that sees the whole input is `_f_vec`'s eta^k table, power(eta,
-0..max k), whose length now follows each block's largest k; the last test
-pins that np.power's table does not depend on its length.  The tracemalloc
-bounds hold the kernels' temporaries to the block, not to the input,
-every verify suite's peak to its row blocks, not to its sample count, and
-the `table` and `plot-data` writers' peaks to their row blocks, not to
-their output.
+The vector kernels `_f_vec`, `_M_vec`, `_B_vec`, `_wedge_vec` and
+`_upper_vec` are plain elementwise functions of arrays of any shape; they
+do not block.  Their callers do: every verify suite (`verify._sweep`'s row
+blocks) and the `table` and `plot-data` writers hand a kernel call at most
+`bellman._BLOCK // 2` points, main-B's N-wide rows counted as rows x N.  The
+`ref_*` kernels below are the kernels as they ran on one whole array,
+frozen: every step is elementwise, so no block size may move a bit.  The
+one step that sees the whole input is `_f_vec`'s eta^k table, power(eta,
+0..max k), whose length follows each call's largest k; a test pins that
+np.power's table does not depend on its length.  The spy test holds the
+callers to their bound.  The tracemalloc bounds hold every verify suite's
+peak to its row blocks and the grids it keeps whole, and the `table` and
+`plot-data` writers' peaks to their row blocks, not to their output.
 """
 
 import math
@@ -19,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a1embed import new_params, verify, wedge_coeffs
+from a1embed import cli, new_params, verify, wedge_coeffs
 from a1embed.bellman import (
     _BLOCK,
     _B_vec,
@@ -123,8 +125,9 @@ def test_blocks_change_no_bit(Q, d, n):
 @pytest.mark.parametrize("rows", [64, _BLOCK])
 @pytest.mark.parametrize("Q, d", CASES)
 def test_row_blocks_of_a_column_slice(Q, d, rows):
-    # main-B hands the kernel (rows, columns) slices of its (c, N) draws,
-    # the upper group empty at n_low = N
+    # the kernels are elementwise on any shape: (rows, columns) slices of
+    # (c, N) draws, the upper group empty at n_low = N, give the reference's
+    # bits
     p = new_params(Q, d)
     x, y = (a.reshape(-1, 8)[:, :5] for a in _points(p, 8 * rows, d))
     assert not x.flags.c_contiguous
@@ -132,21 +135,6 @@ def test_row_blocks_of_a_column_slice(Q, d, rows):
     assert _same(_B_vec(p, x, y, 1.0), ref_B_vec(p, x, y, 1.0))
     assert _same(_B_vec(p, x, Q * y, y), ref_B_vec(p, x, Q * y, y))
     assert _B_vec(p, x[:, :0], y[:, :0], y[:, :0]).shape == (rows, 0)
-
-
-def test_each_block_builds_its_own_table(p53):
-    lengths = []
-
-    def power(eta, ks):
-        lengths.append(ks.size)
-        return np.power(eta, ks)
-
-    x, _ = _points(p53, 3 * _BLOCK + 7, 0)
-    _f_vec(p53, x, power)
-    assert len(lengths) == 4 and len(set(lengths)) == 4
-    lengths.clear()
-    _f_vec(p53, x[:_BLOCK], power)      # one block: the kernel as it is
-    assert len(lengths) == 1
 
 
 @pytest.mark.parametrize("Q, d", [(1 + 1e-9, 1), (1.0001, 1), (2.0, 1),
@@ -171,29 +159,23 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_B_vec_temporaries_stay_in_the_block(p53):
-    # a whole-array _B_vec peaked 46 MiB above its 1e6-point inputs
-    rng = np.random.default_rng(1)
-    x, t = rng.random(10**6), rng.random(10**6)
-    m = rng.uniform(0.5, 2.0, 10**6)
-    y = m * (1 + (p53.Q - 1) * t)
-    _B_vec(p53, x[:10], y[:10], m[:10])
-    assert _peak(lambda: _B_vec(p53, x, y, m)) < x.nbytes + 4 * 2**20
-
-
-# at 1e5 samples every suite, at 1e6 the two that drew most per row
+# at 1e5 samples every suite, at 1e6 the two that drew most per row, and
+# wedge-domination, whose M grid (8 bytes a point) stays whole
 PEAK_CASES = [*(((Q, d), 100_000, 3.5, list(SUITES))
                 for Q, d in [(10.0, 2), (2.0, 1), (5.0, 3)]),
-              ((5.0, 3), 1_000_000, 4.0, ["homogeneity", "main-inequality-B"])]
+              ((5.0, 3), 1_000_000, 4.0, ["homogeneity", "main-inequality-B"]),
+              ((5.0, 3), 1_000_000, 9.5, ["wedge-domination"])]
 
 
 def test_main_B_peak_is_set_by_its_draws():
-    # every suite reads its stream in row blocks, so no peak follows the
-    # sample count.  With whole chunks, at 1e5 samples homogeneity peaked
-    # at 6.94 MiB, concavity 6.84, main-B 6.67, branch continuity 5.43 and
-    # wedge domination 4.31; at 1e6 and (5, 3) homogeneity 68.7 and main-B
-    # 22.9 (12.9 at 1e5 while its child values went through concatenated
-    # copies)
+    # every suite reads its stream in row blocks, so no draw follows the
+    # sample count; only the grids kept whole do, 8 bytes a point
+    # (wedge-domination's M peaked at 10.4 MiB at 1e6 while it went to the
+    # kernel as one array).  With whole chunks, at 1e5 samples homogeneity
+    # peaked at 6.94 MiB, concavity 6.84, main-B 6.67, branch continuity
+    # 5.43 and wedge domination 4.31; at 1e6 and (5, 3) homogeneity 68.7
+    # and main-B 22.9 (12.9 at 1e5 while its child values went through
+    # concatenated copies)
     for (Q, d), n, mib, names in PEAK_CASES:
         p = new_params(Q, d)
         for name in names:
@@ -241,3 +223,32 @@ def test_csv_writers_stream_their_rows(tmp_path):
     assert large < 3 * 2**20 and large - small < 2**20, (small, large)
     plot = peak("plot-data", "--n-points", "200000")
     assert plot < 6 * 2**20, plot / 2**20
+
+
+def test_callers_hand_the_kernels_blocks(monkeypatch, tmp_path):
+    # the kernels do not block, so their callers must: no kernel call from a
+    # suite or a CSV writer gets more than _BLOCK // 2 points (main-B's
+    # N-wide rows count rows x N), whatever the sample count or grid
+    kernels = ("_f_vec", "_M_vec", "_B_vec", "_wedge_vec", "_upper_vec")
+    largest = {}
+
+    def spy(name, kernel):
+        def run(*args, **kw):
+            n = max([a.size for a in args if isinstance(a, np.ndarray)] or [1])
+            largest[name] = max(largest.get(name, 0), n)
+            return kernel(*args, **kw)
+        return run
+
+    for module in (verify, cli):
+        for name in kernels:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for Q, d in [(10.0, 2), (2.0, 1), (5.0, 3)]:
+        run_suite(new_params(Q, d), "all", 100_000)
+    for name in ["wedge-domination", "main-inequality-B", "homogeneity"]:
+        run_suite(new_params(5.0, 3), name, 1_000_000)
+    out, opts = str(tmp_path / "out.csv"), ["--Q", "10", "--d", "2"]
+    assert main(["table", *opts, "--nx", "2001", "--ny", "201", "--out", out]) == 0
+    assert main(["plot-data", *opts, "--n-points", "200000", "--out", out]) == 0
+    assert sorted(largest) == sorted(kernels)
+    assert max(largest.values()) <= _BLOCK // 2, largest
