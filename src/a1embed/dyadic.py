@@ -13,7 +13,9 @@ Subtrees and leaf objects may be shared, so every bottom-up quantity
 comes from one post-order fold memoized on node identity (`_fold`).  It
 folds each node once, and a node of over 4 children each distinct child
 once, so shared constructions (see extremize) fold in linear time and N-1
-padding children that are one leaf object cost one walk, not N.
+padding children that are one leaf object cost one walk, not N.  `stats`
+can keep its memos (`fold_memo`, which pins the roots it folded) for the
+next pair, so a construction's checks fold each distinct node once.
 
 A DyadicWeight or DyadicSet (and an extremize.ExtremalPair) compares and
 hashes by identity; compare structure through `.tree` or `stats`.  The repr
@@ -249,11 +251,10 @@ def measure(E: DyadicSet) -> Fraction:
     return _measure(E.tree, E.n)
 
 
-def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict):
+def _weight_on_set(w: DyadicWeight, E: DyadicSet, summary_memo: dict, *memos):
     if w.n != E.n:
         raise ValueError("weight and set have different fan-out")
-    memo: dict[tuple[int, int], Any] = {}
-    measure_memo: dict[int, Fraction] = {}
+    measure_memo, memo = memos or ({}, {})     # the measure and w(E) memos
 
     def walk(wn, en):
         if en is False:
@@ -325,12 +326,22 @@ def value_distribution(w: DyadicWeight) -> dict:
     return _fold(w.tree, lambda v: {v: Fraction(1)}, inner)
 
 
-def stats(w: DyadicWeight, E: DyadicSet) -> WeightStats:
-    """Statistics bundle of a weight/set pair."""
-    memo: dict[int, tuple] = {}
-    y, m, char = _summary(w.tree, w.n, memo)
-    return WeightStats(x=measure(E), y=y, m=m, char=char,
-                       value=_weight_on_set(w, E, memo))
+def fold_memo(*seeds: tuple) -> tuple:
+    """The memos of `stats` (pinned roots, summary, measure, w(E)), holding
+    those of `seeds`, of one fan-out.  They are keyed on node identity, so
+    the first keeps every root folded alive: no id in them can be reused."""
+    return tuple({k: v for m in ms for k, v in m.items()}
+                 for ms in zip(({}, {}, {}, {}), *seeds))
+
+
+def stats(w: DyadicWeight, E: DyadicSet, memo: tuple = ()) -> WeightStats:
+    """Statistics bundle of a weight/set pair.  Given a `fold_memo()`, each
+    node folded for an earlier pair is a lookup, and this pair's are kept."""
+    roots, summary, measures, on_set = memo or fold_memo()
+    roots.update({id(w.tree): w.tree, id(E.tree): E.tree})
+    y, m, char = _summary(w.tree, w.n, summary)
+    return WeightStats(x=_measure(E.tree, E.n, measures), y=y, m=m, char=char,
+                       value=_weight_on_set(w, E, summary, measures, on_set))
 
 
 def complement(E: DyadicSet) -> DyadicSet:
@@ -357,24 +368,24 @@ def as_fraction_weight(w: DyadicWeight) -> DyadicWeight:
 # continuation subtree) is emitted once, tagged "id", and thereafter as
 # {"ref": id}; expanding such trees naively is exponential in the number of
 # stages.  Trees without sharing emit the plain nested format with no tags.
+# Each distinct leaf object has one leaf doc, shared by all its positions.
 # Decoding is the one walk over a loaded tree and makes every check that
-# validate_* make, the depth a ref reaches included (one memoized height fold).
+# validate_* make; it gives equal leaves one object, and every node its
+# height as it decodes, so a ref meets the depth cap in one comparison.
 
 def _tree_to_json(root, leaf_doc):
-    parents: dict[int, int] = {}
-    stack = [root]
+    parents: dict[int, int] = {}        # internal nodes only
+    stack = [] if _is_leaf(root) else [root]
     while stack:
         node = stack.pop()
-        if _is_leaf(node):
-            continue
         parents[id(node)] = parents.get(id(node), 0) + 1
         if parents[id(node)] == 1:
-            stack.extend(node)
-    ids: dict[int, int] = {}
+            stack += [c for c in node if not _is_leaf(c)]
+    ids, leaves = {}, {}    # internal node -> its id; leaf -> its one doc
 
     def walk(node):
         if _is_leaf(node):
-            return leaf_doc(node)
+            return leaves.get(id(node)) or leaves.setdefault(id(node), leaf_doc(node))
         ref = ids.get(id(node))
         if ref is not None:
             return {"ref": ref}
@@ -394,31 +405,35 @@ def _tree_to_json(root, leaf_doc):
 
 def _tree_from_json(doc, n: int, kind: str, leaf_key: str, leaf, make_node,
                     max_depth: int):
-    defs: dict = {}
-    heights: dict = {}
+    defs, leaves = {}, {}   # id -> (node, height); value -> (one leaf, 0)
 
-    def walk(doc, depth):
-        if leaf_key in doc:
-            return leaf(doc[leaf_key])
-        if "ref" in doc:
-            node = defs.get(doc["ref"])
-            if node is None:
+    def walk(doc, depth):   # -> (node, height)
+        if leaf_key in doc or "ref" in doc:
+            if "children" in doc:
+                raise ValueError(f"{kind} node has children and a {leaf_key} or ref")
+            if leaf_key in doc:
+                v = leaf(doc[leaf_key])
+                return leaves.setdefault(v, (v, 0))
+            r = defs.get(doc["ref"])
+            if r is None:
                 raise ValueError(f"ref {doc['ref']} precedes its definition")
-            if depth + _height(node, heights) > max_depth:
+            if depth + r[1] > max_depth:
                 raise ValueError(f"{kind} tree deeper than {max_depth}")
-            return node
+            return r
         if depth >= max_depth:      # stop before the recursion goes deeper
             raise ValueError(f"{kind} tree deeper than {max_depth}")
         children = doc["children"]
         if len(children) != n:
             raise ValueError(f"{kind} node has {len(children)} children, want {n}")
-        node = make_node(walk(c, depth + 1) for c in children)
-        if "id" in doc:
-            defs[doc["id"]] = node
-        return node
+        nodes, heights = zip(*[walk(c, depth + 1) for c in children])
+        node = make_node(nodes)
+        r = node, 0 if _is_leaf(node) else 1 + max(heights)
+        if "id" in doc and defs.setdefault(doc["id"], r) is not r:
+            raise ValueError(f"{kind} id {doc['id']} defined twice")
+        return r
 
     try:
-        return walk(doc, 0)
+        return walk(doc, 0)[0]
     finally:
         del walk    # as in _fold
 

@@ -27,17 +27,18 @@ rational, so corner statistics come out exactly Q*eta^k.  apply_T and
 concatenate take exactness from their input pairs (the type of the
 minimum, which both require to be 1).
 
-An ExtremalPair is the two trees and their statistics, nothing else: the
-point asked for and the digit count are the caller's.  Every pair comes
-from _finalize, which computes the statistics and checks them once;
-build_corner checks only its last pair, which covers the intermediate
-ones.
+An ExtremalPair is the two trees, their statistics and the fold memos
+behind them, nothing else: the point asked for and the digit count are the
+caller's.  Every pair comes from _finalize, which computes the statistics
+and checks them once; build_corner checks only its last pair, which covers
+the intermediate ones, and concatenate's check starts from its input pairs'
+memos, so it folds only the new spine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bellman import _interval_index, _on_lower_branch, eval_B
@@ -45,6 +46,7 @@ from .dyadic import (
     DyadicSet,
     DyadicWeight,
     WeightStats,
+    fold_memo,
     make_set_node,
     scale_weight,
     stats,
@@ -69,10 +71,12 @@ class ExtremalPair:
     w: DyadicWeight
     E: DyadicSet
     achieved: WeightStats
+    memo: tuple = field(default_factory=fold_memo, repr=False, compare=False)
 
 
-def _finalize(p: Params, w: DyadicWeight, E: DyadicSet) -> ExtremalPair:
-    st = stats(w, E)
+def _finalize(p: Params, w: DyadicWeight, E: DyadicSet, *seeds) -> ExtremalPair:
+    memo = fold_memo(*seeds)
+    st = stats(w, E, memo)
     if not at_least(p.Q, float(st.char)):
         raise InvariantError(f"characteristic {float(st.char)} > Q = {p.Q}")
     if st.m != 1:
@@ -81,7 +85,7 @@ def _finalize(p: Params, w: DyadicWeight, E: DyadicSet) -> ExtremalPair:
     bound = eval_B(p, x, min(y, p.Q), 1.0)
     if not at_least(bound, float(st.value)):
         raise InvariantError(f"captured mass {float(st.value)} > B = {bound}")
-    return ExtremalPair(w, E, st)
+    return ExtremalPair(w, E, st, memo)
 
 
 def _boundary_tree(p: Params, y, one) -> tuple:
@@ -176,7 +180,8 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
         src = pair1 if int(lamf * 2**i) % 2 else pair0
         wcur = (src.w.tree,) * half + (wcur,) * half
         scur = make_set_node((src.E.tree,) * half + (scur,) * half)
-    return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur))
+    return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur),
+                     pair0.memo, pair1.memo)
 
 
 def _inner_digits(p: Params, depth: int) -> int:

@@ -469,6 +469,33 @@ def test_json_malformed_documents_raise_value_error(change):
         pair_from_json(doc)
 
 
+def _ambiguous(shape, leaf, other, key):
+    """A tree whose decoding would otherwise drop part of the document."""
+    defn = {"id": 0, "children": [leaf, other]}
+    if shape == "duplicate-id":         # the later definition would win
+        return {"children": [defn, {"id": 0, "children": [other, leaf]}]}
+    if shape == "ref-and-children":     # the children would be ignored
+        return {"children": [defn, {"ref": 0, "children": [other, leaf]}]}
+    # a leaf (or set marker) with children would read as a leaf
+    return {"children": [{key: leaf[key], "children": [leaf, other]}, other]}
+
+
+AMBIGUOUS_SHAPES = ["duplicate-id", "ref-and-children", "leaf-and-children"]
+
+
+@pytest.mark.parametrize("shape", AMBIGUOUS_SHAPES)
+@pytest.mark.parametrize("kind", ["weight", "set"])
+def test_json_decoder_refuses_an_ambiguous_node(kind, shape):
+    leaf, other, key = (({"leaf": 1.0}, {"leaf": 2.0}, "leaf") if kind == "weight"
+                        else ({"set": "full"}, {"set": "empty"}, "set"))
+    # the same tree without the ambiguity loads
+    clean = {"children": [{"id": 0, "children": [leaf, other]}, {"ref": 0}]}
+    pair_from_json(dict(GOOD_DOC, **{kind: clean}))
+    with pytest.raises(ValueError, match=kind):
+        pair_from_json(dict(GOOD_DOC, **{kind: _ambiguous(shape, leaf, other,
+                                                          key)}))
+
+
 def test_json_decoder_stops_at_the_depth_cap():
     # the cap is applied as the decoder descends, with validate_*'s meaning:
     # a leaf may sit at depth max_depth, an internal node may not

@@ -1,5 +1,6 @@
 """Constructive near-extremizers: boundary pairs, corner iteration, mixing."""
 
+import gc
 import math
 import os
 import subprocess
@@ -108,8 +109,10 @@ def test_corner_is_the_k_fold_T_chain(d, exact):
 def test_corner_checks_once(p102, monkeypatch):
     import a1embed.extremize as ex
 
+    # the one check _finalize makes, with its fold memo
     calls = []
-    monkeypatch.setattr(ex, "stats", lambda w, E: calls.append(1) or stats(w, E))
+    monkeypatch.setattr(ex, "stats", lambda w, E, memo: calls.append(1)
+                        or stats(w, E, memo))
     for k in (0, 1, 8, 32):
         for exact in (False, True):
             calls.clear()
@@ -356,3 +359,80 @@ def test_finalize_rejects_mass_above_bound(p102, monkeypatch, capsys):
     assert main(["extremize", "--Q", "10", "--d", "2", "--x", "0.3",
                  "--y", "8", "--depth", "6"]) == 2
     assert "error: captured mass" in capsys.readouterr().err
+
+
+# A pair carries the fold memos of its trees, keyed on node identity, and
+# concatenate starts its check from its input pairs' memos.  An input's trees
+# may drop out of the result (lam = 1, or every digit picking the other pair);
+# freed, their ids could pass to new nodes and hit stale memo entries, unless
+# the memo pins them.  Every check must equal a fresh fold, bit for bit.
+
+def _fresh(pair):
+    return repr(stats(pair.w, pair.E))
+
+
+def _freed_input_cases(p, exact):
+    """(label, thunk) of concatenations after an input pair was freed."""
+    def drop(lam, kept_first):
+        a, b = build_corner(p, 3, exact), build_corner(p, 1, exact)
+        # lam = 0 keeps only pair0, lam = 1 returns pair1 itself
+        return concatenate(p, lam, a, b, 6) if kept_first else \
+            concatenate(p, lam, b, a, 6)
+
+    for lam in (0, 1, Fraction(1, 2**20)):
+        for kept_first in (True, False):
+            yield lam, kept_first, lambda lam=lam, k=kept_first: drop(lam, k)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("Q,d", [(10.0, 2), (2.0, 1), (5.0, 3)])
+def test_checks_survive_a_freed_input_pair(Q, d, exact):
+    p = new_params(Q, d)
+    for lam, kept_first, make in _freed_input_cases(p, exact):
+        one_sided = make()
+        gc.collect()
+        assert repr(one_sided.achieved) == _fresh(one_sided)
+        for k in (0, 2, 4, 5):
+            # new trees, built after the drop, may take the freed ids
+            other = build_corner(p, k, exact)
+            for mu in (0, Fraction(1, 3), Fraction(5, 7), 1):
+                for pair0, pair1 in ((one_sided, other), (other, one_sided)):
+                    pair = concatenate(p, mu, pair0, pair1, 9)
+                    assert repr(pair.achieved) == _fresh(pair), (lam, kept_first,
+                                                                 k, mu)
+                    again = concatenate(p, Fraction(2, 3), pair, other, 5)
+                    assert repr(again.achieved) == _fresh(again)
+            del other
+            gc.collect()
+
+
+# (x, t) with y = 1 + t (Q - 1): both branches, corner nodes x = N^-k and
+# points just past them, whose inner digits all pick one corner
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("x,t", [(0.7, 0.25), (0.2, 0.1), (0.3, 0.8),
+                                 (0.05, 0.95), (0.01, 0.5), (0.25, 1.0),
+                                 (0.25 * (1 + 2**-30), 1.0), (1.0, 1.0),
+                                 (1 / 64 * (1 + 2**-40), 0.9), (0.0, 0.3)])
+def test_extremizer_checks_equal_fresh_folds(x, t, exact):
+    for Q, d in ((10.0, 2), (2.0, 1), (5.0, 3)):
+        p = new_params(Q, d)
+        for depth in (1, 4, 12, 32):
+            pair = build_extremizer(p, x, 1 + t * (Q - 1), depth, exact=exact)
+            gc.collect()
+            assert repr(pair.achieved) == _fresh(pair), (Q, d, depth)
+
+
+def test_corner_and_weak_type_chain_checks_equal_fresh_folds():
+    for Q, d in ((10.0, 2), (2.0, 1), (10.0, 10)):
+        p = new_params(Q, d)
+        for exact in (False, True):
+            for k in (0, 1, 8, 16):
+                pair = build_corner(p, k, exact)
+                assert repr(pair.achieved) == _fresh(pair)
+        # the weak-type suite's chain: each step drops the pair before it
+        pair = build_corner(p, 0, exact=True)
+        for k in range(1, 9):
+            pair = apply_T(p, pair)
+            gc.collect()
+            assert repr(pair.achieved) == _fresh(pair), (Q, d, k)
+            assert repr(pair.achieved) == repr(build_corner(p, k, True).achieved)

@@ -395,8 +395,8 @@ def test_weak_type_suite_walks_one_corner_chain(p102, monkeypatch):
     real_T, real_stats = ex.apply_T, ex.stats
     monkeypatch.setattr(ex, "apply_T", lambda p, pair: steps.append(1)
                         or real_T(p, pair))
-    monkeypatch.setattr(ex, "stats", lambda w, E: checks.append(1)
-                        or real_stats(w, E))
+    monkeypatch.setattr(ex, "stats", lambda w, E, memo: checks.append(1)
+                        or real_stats(w, E, memo))
     r = verify._weak_type_suite(p102)
     assert r.passed and r.samples > 0
     assert (len(steps), len(checks)) == (8, 9)
