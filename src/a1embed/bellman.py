@@ -188,7 +188,7 @@ class _Numpy:
 
 np = _Numpy()   # the array code's numpy, here and in verify and cli
 
-_BLOCK = 1 << 15    # callers hand a kernel at most _BLOCK // 2 points a call
+_BLOCK = 1 << 15    # a kernel call gets <= _BLOCK // 2 points, or one wider table row
 
 
 def _f_vec(p: Params, x: np.ndarray, power=None) -> np.ndarray:

@@ -14,8 +14,9 @@ comes from one post-order fold memoized on node identity (`_fold`).  It
 folds each node once, and a node of over 4 children each distinct child
 once, so shared constructions (see extremize) fold in linear time and N-1
 padding children that are one leaf object cost one walk, not N.  `stats`
-can keep its memos (`fold_memo`, which pins the roots it folded) for the
-next pair, so a construction's checks fold each distinct node once.
+starts its memos from the roots and statistics of the pairs whose trees a
+new pair shares, so a construction's checks fold only its new nodes.  The
+memos live for one call, and the caller holds every tree they key on.
 
 A DyadicWeight or DyadicSet (and an extremize.ExtremalPair) compares and
 hashes by identity; compare structure through `.tree` or `stats`.  The repr
@@ -326,19 +327,12 @@ def value_distribution(w: DyadicWeight) -> dict:
     return _fold(w.tree, lambda v: {v: Fraction(1)}, inner)
 
 
-def fold_memo(*seeds: tuple) -> tuple:
-    """The memos of `stats` (pinned roots, summary, measure, w(E)), holding
-    those of `seeds`, of one fan-out.  They are keyed on node identity, so
-    the first keeps every root folded alive: no id in them can be reused."""
-    return tuple({k: v for m in ms for k, v in m.items()}
-                 for ms in zip(({}, {}, {}, {}), *seeds))
-
-
-def stats(w: DyadicWeight, E: DyadicSet, memo: tuple = ()) -> WeightStats:
-    """Statistics bundle of a weight/set pair.  Given a `fold_memo()`, each
-    node folded for an earlier pair is a lookup, and this pair's are kept."""
-    roots, summary, measures, on_set = memo or fold_memo()
-    roots.update({id(w.tree): w.tree, id(E.tree): E.tree})
+def stats(w: DyadicWeight, E: DyadicSet, known=()) -> WeightStats:
+    """Statistics bundle of a weight/set pair.  `known` holds (weight, set,
+    stats) of pairs whose trees this one shares: their roots are lookups."""
+    summary = {id(v.tree): (s.y, s.m, s.char) for v, _, s in known}
+    measures = {id(F.tree): s.x for _, F, s in known}
+    on_set = {(id(v.tree), id(F.tree)): s.value for v, F, s in known}
     y, m, char = _summary(w.tree, w.n, summary)
     return WeightStats(x=_measure(E.tree, E.n, measures), y=y, m=m, char=char,
                        value=_weight_on_set(w, E, summary, measures, on_set))

@@ -27,18 +27,18 @@ rational, so corner statistics come out exactly Q*eta^k.  apply_T and
 concatenate take exactness from their input pairs (the type of the
 minimum, which both require to be 1).
 
-An ExtremalPair is the two trees, their statistics and the fold memos
-behind them, nothing else: the point asked for and the digit count are the
-caller's.  Every pair comes from _finalize, which computes the statistics
-and checks them once; build_corner checks only its last pair, which covers
-the intermediate ones, and concatenate's check starts from its input pairs'
-memos, so it folds only the new spine.
+An ExtremalPair is the two trees and their statistics, nothing else: the
+point asked for and the digit count are the caller's.  Every pair comes
+from _finalize, which computes the statistics and checks them once;
+build_corner checks only its last pair, which covers the intermediate
+ones, and concatenate's check starts from its input pairs' statistics at
+their roots, so it folds only the new spine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bellman import _interval_index, _on_lower_branch, eval_B
@@ -46,7 +46,6 @@ from .dyadic import (
     DyadicSet,
     DyadicWeight,
     WeightStats,
-    fold_memo,
     make_set_node,
     scale_weight,
     stats,
@@ -68,15 +67,17 @@ from .params import (
 
 @dataclass(frozen=True, eq=False)
 class ExtremalPair:
+    """Two trees and their statistics; `achieved` must be `stats(w, E)`,
+    since `_unit` and the checks of pairs built from this one read it."""
+
     w: DyadicWeight
     E: DyadicSet
     achieved: WeightStats
-    memo: tuple = field(default_factory=fold_memo, repr=False, compare=False)
 
 
-def _finalize(p: Params, w: DyadicWeight, E: DyadicSet, *seeds) -> ExtremalPair:
-    memo = fold_memo(*seeds)
-    st = stats(w, E, memo)
+def _finalize(p: Params, w: DyadicWeight, E: DyadicSet,
+              *inputs: ExtremalPair) -> ExtremalPair:
+    st = stats(w, E, [(q.w, q.E, q.achieved) for q in inputs])
     if not at_least(p.Q, float(st.char)):
         raise InvariantError(f"characteristic {float(st.char)} > Q = {p.Q}")
     if st.m != 1:
@@ -85,7 +86,7 @@ def _finalize(p: Params, w: DyadicWeight, E: DyadicSet, *seeds) -> ExtremalPair:
     bound = eval_B(p, x, min(y, p.Q), 1.0)
     if not at_least(bound, float(st.value)):
         raise InvariantError(f"captured mass {float(st.value)} > B = {bound}")
-    return ExtremalPair(w, E, st, memo)
+    return ExtremalPair(w, E, st)
 
 
 def _boundary_tree(p: Params, y, one) -> tuple:
@@ -181,7 +182,7 @@ def concatenate(p: Params, lam, pair0: ExtremalPair, pair1: ExtremalPair,
         wcur = (src.w.tree,) * half + (wcur,) * half
         scur = make_set_node((src.E.tree,) * half + (scur,) * half)
     return _finalize(p, DyadicWeight(p.N, wcur), DyadicSet(p.N, scur),
-                     pair0.memo, pair1.memo)
+                     pair0, pair1)
 
 
 def _inner_digits(p: Params, depth: int) -> int:

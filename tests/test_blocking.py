@@ -4,7 +4,8 @@ The vector kernels `_f_vec`, `_M_vec`, `_B_vec`, `_wedge_vec` and
 `_upper_vec` are plain elementwise functions of arrays of any shape; they
 do not block.  Their callers do: every verify suite (`verify._sweep`'s row
 blocks) and the `table` and `plot-data` writers hand a kernel call at most
-`bellman._BLOCK // 2` points, main-B's N-wide rows counted as rows x N.  The
+`bellman._BLOCK // 2` points, main-B's N-wide rows counted as rows x N; a
+`table` row wider than that is one call of one row.  The
 `ref_*` kernels below are the kernels as they ran on one whole array,
 frozen: every step is elementwise, so no block size may move a bit.  The
 one step that sees the whole input is `_f_vec`'s eta^k table, power(eta,
@@ -228,14 +229,16 @@ def test_csv_writers_stream_their_rows(tmp_path):
 def test_callers_hand_the_kernels_blocks(monkeypatch, tmp_path):
     # the kernels do not block, so their callers must: no kernel call from a
     # suite or a CSV writer gets more than _BLOCK // 2 points (main-B's
-    # N-wide rows count rows x N), whatever the sample count or grid
+    # N-wide rows count rows x N), whatever the sample count or grid, save
+    # a `table` row wider than that: it is one call of exactly one row
     kernels = ("_f_vec", "_M_vec", "_B_vec", "_wedge_vec", "_upper_vec")
-    largest = {}
+    largest, sizes = {}, []
 
     def spy(name, kernel):
         def run(*args, **kw):
             n = max([a.size for a in args if isinstance(a, np.ndarray)] or [1])
             largest[name] = max(largest.get(name, 0), n)
+            sizes.append(n)
             return kernel(*args, **kw)
         return run
 
@@ -252,3 +255,6 @@ def test_callers_hand_the_kernels_blocks(monkeypatch, tmp_path):
     assert main(["plot-data", *opts, "--n-points", "200000", "--out", out]) == 0
     assert sorted(largest) == sorted(kernels)
     assert max(largest.values()) <= _BLOCK // 2, largest
+    sizes.clear()
+    assert main(["table", *opts, "--nx", "3", "--ny", "40000", "--out", out]) == 0
+    assert sizes == [40000] * 3

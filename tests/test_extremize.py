@@ -1,6 +1,8 @@
 """Constructive near-extremizers: boundary pairs, corner iteration, mixing."""
 
 import gc
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -15,6 +17,7 @@ from a1embed import (
     DomainError,
     DyadicSet,
     DyadicWeight,
+    ExtremalPair,
     InvariantError,
     apply_S,
     apply_T,
@@ -25,9 +28,11 @@ from a1embed import (
     eval_M,
     measure,
     new_params,
+    pair_from_json,
+    pair_to_json,
     stats,
 )
-from a1embed import extremize
+from a1embed import dyadic, extremize
 from a1embed.params import (
     CONCAT_DIGITS_MAX,
     CORNER_K_MAX,
@@ -109,10 +114,10 @@ def test_corner_is_the_k_fold_T_chain(d, exact):
 def test_corner_checks_once(p102, monkeypatch):
     import a1embed.extremize as ex
 
-    # the one check _finalize makes, with its fold memo
+    # the one check _finalize makes, with the inputs it shares (none here)
     calls = []
-    monkeypatch.setattr(ex, "stats", lambda w, E, memo: calls.append(1)
-                        or stats(w, E, memo))
+    monkeypatch.setattr(ex, "stats", lambda w, E, known: calls.append(1)
+                        or stats(w, E, known))
     for k in (0, 1, 8, 32):
         for exact in (False, True):
             calls.clear()
@@ -361,11 +366,11 @@ def test_finalize_rejects_mass_above_bound(p102, monkeypatch, capsys):
     assert "error: captured mass" in capsys.readouterr().err
 
 
-# A pair carries the fold memos of its trees, keyed on node identity, and
-# concatenate starts its check from its input pairs' memos.  An input's trees
-# may drop out of the result (lam = 1, or every digit picking the other pair);
-# freed, their ids could pass to new nodes and hit stale memo entries, unless
-# the memo pins them.  Every check must equal a fresh fold, bit for bit.
+# concatenate's check starts its memos, keyed on node identity, from its
+# input pairs' roots and `achieved`.  An input's trees may drop out of the
+# result (lam = 1, or every digit picking the other pair); were those memos
+# kept past the call, a freed root's id could pass to a new node and hit a
+# stale entry.  Every check must equal a fresh fold, bit for bit.
 
 def _fresh(pair):
     return repr(stats(pair.w, pair.E))
@@ -436,3 +441,35 @@ def test_corner_and_weak_type_chain_checks_equal_fresh_folds():
             gc.collect()
             assert repr(pair.achieved) == _fresh(pair), (Q, d, k)
             assert repr(pair.achieved) == repr(build_corner(p, k, True).achieved)
+
+
+def test_concatenate_folds_only_the_new_spine(p102, monkeypatch):
+    # the check starts from the input pairs' `achieved` at their roots: one
+    # mean for the summary, one for the measure and one for w(E) per spine
+    # node, where a fresh fold of the result takes 311
+    a, b = build_corner(p102, 32, True), build_corner(p102, 31, True)
+    real, calls = dyadic._mean, []
+    monkeypatch.setattr(dyadic, "_mean", lambda vals, n: calls.append(1)
+                        or real(vals, n))
+    concatenate(p102, Fraction(1, 3), a, b, 40)
+    assert len(calls) <= 3 * 40
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_pairs_rebuilt_from_json_concatenate_like_their_originals(p102, exact):
+    # ExtremalPair(w, E, stats(w, E)) meets the contract on `achieved`; the
+    # reloaded trees give equal leaves one object, unlike the originals
+    originals = [build_corner(p102, 3, exact), build_corner(p102, 1, exact),
+                 build_extremizer(p102, 0.3, 8.0, 6, exact=exact)]
+    reloaded = []
+    for pair in originals:
+        doc = json.loads(json.dumps(pair_to_json(10.0, 2, pair.w, pair.E)))
+        _, _, w, E = pair_from_json(doc)
+        reloaded.append(ExtremalPair(w, E, stats(w, E)))
+    for i, j in itertools.product(range(3), repeat=2):
+        for lam in (Fraction(1, 3), Fraction(5, 7)):
+            pair = concatenate(p102, lam, reloaded[i], reloaded[j], 9)
+            assert repr(pair.achieved) == _fresh(pair), (i, j, lam)
+            if not exact:       # an exact pair reloads as floats
+                same = concatenate(p102, lam, originals[i], originals[j], 9)
+                assert repr(pair.achieved) == repr(same.achieved), (i, j, lam)

@@ -80,3 +80,53 @@ def test_numpy_is_loaded_only_by_array_commands():
         capture_output=True, text=True, check=True, timeout=120).stdout
     assert out == repr([(None, False)] + [(0, False)] * len(no_arrays)
                        + [(0, True)]) + "\n"
+
+
+def _top_level_names(tree):
+    # (name, first line, last line) of each top-level def, class and
+    # assigned name, dunders excepted
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    # (name, line) of every name, attribute and identifier string (as in
+    # monkeypatch.setattr(module, "name", ...)); imports do not count
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_top_level_name_has_a_use():
+    # a function, class or constant of the package that nothing in src/,
+    # tests/ or a1bench/ names outside its own definition is dead code
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(p for d in ("src", "tests", "a1bench")
+                   for p in (root / d).rglob("*.py"))
+    refs = {}       # name -> {(file, line)}
+    for path in files:
+        for name, line in _references(ast.parse(path.read_text())):
+            refs.setdefault(name, set()).add((path, line))
+    dead = []
+    for path in sorted((root / "src" / "a1embed").glob("*.py")):
+        for name, first, last in _top_level_names(ast.parse(path.read_text())):
+            if all(f == path and first <= line <= last
+                   for f, line in refs.get(name, ())):
+                dead.append(f"{path.name}:{first} {name}")
+    assert dead == []
